@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-resilience smoke-service smoke-service-load smoke-metrics diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke incremental-sweep bench-service bench-diffcheck bench-leakage table1
+.PHONY: test test-resilience smoke-service smoke-service-load smoke-metrics diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke incremental-sweep digests bench-service bench-diffcheck bench-leakage table1
 
 test: diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke smoke-service-load
 	$(PYTHON) -m pytest -q
@@ -76,6 +76,14 @@ incremental-smoke:
 incremental-sweep:
 	$(PYTHON) benchmarks/bench_incremental.py
 	$(PYTHON) benchmarks/bench_incremental.py --sabotage --count 24
+
+# Rewrite the verdict-digest pin (tests/fixtures/verdict_digests.json)
+# from the current tree: digests and leakage cells of the 25 registry
+# programs and the 45-program generated draw, each analyzed cold.  Run
+# it only for a deliberate change to analysis output, and review the
+# diff; tests/integration/test_verdict_digests.py checks the pin.
+digests:
+	$(PYTHON) -m tests.digest_pin
 
 test-resilience:
 	$(PYTHON) -m pytest -q -m resilience

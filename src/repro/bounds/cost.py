@@ -9,6 +9,7 @@ over alternatives where control flow allows several shapes
 Representation:
 
 * :class:`Poly` — a multivariate polynomial with rational coefficients
+  (``int`` when integral, ``Fraction`` otherwise)
   over named symbols (monomials are sorted tuples of symbol names, so
   ``g.len * p.len`` is a degree-2 monomial);
 * :class:`CostBound` — a pair (lower, upper) where the lower bound is a
@@ -30,32 +31,36 @@ from fractions import Fraction
 from typing import ClassVar
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
+from repro.domains.linexpr import Coeff, exact
+
 Monomial = Tuple[str, ...]  # sorted symbol names; () is the constant term
 
 MAX_SET_SIZE = 6
 
 
 class Poly:
-    """A multivariate polynomial with Fraction coefficients."""
+    """A multivariate polynomial with rational coefficients, each stored
+    as an ``int`` when integral and a ``Fraction`` otherwise (the
+    representation of :mod:`repro.domains.linexpr`)."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        self.terms: Dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Optional[Mapping[Monomial, Coeff]] = None):
+        self.terms: Dict[Monomial, Coeff] = {}
         if terms:
             for mono, coeff in terms.items():
-                if coeff != 0:
-                    self.terms[mono] = Fraction(coeff)
+                if coeff:
+                    self.terms[mono] = exact(coeff)
 
     # -- constructors -------------------------------------------------------------
 
     @staticmethod
     def constant(value) -> "Poly":
-        return Poly({(): Fraction(value)})
+        return Poly({(): value})
 
     @staticmethod
     def symbol(name: str) -> "Poly":
-        return Poly({(name,): Fraction(1)})
+        return Poly({(name,): 1})
 
     ZERO: "Poly"
     ONE: "Poly"
@@ -68,7 +73,7 @@ class Poly:
 
     @property
     def const_value(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
@@ -80,33 +85,37 @@ class Poly:
         return frozenset(out)
 
     def evaluate(self, env: Mapping[str, object]) -> Fraction:
-        total = Fraction(0)
+        total = 0
         for mono, coeff in self.terms.items():
             value = coeff
             for sym in mono:
-                value *= Fraction(env[sym])  # type: ignore[arg-type]
+                value *= exact(env[sym])
             total += value
-        return total
+        return Fraction(total)
 
     # -- arithmetic ---------------------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            terms[mono] = terms.get(mono, 0) + coeff
         return Poly(terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (other * Fraction(-1))
+        terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            terms[mono] = terms.get(mono, 0) - coeff
+        return Poly(terms)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly({m: c * Fraction(other) for m, c in self.terms.items()})
-        terms: Dict[Monomial, Fraction] = {}
+            f = exact(other)
+            return Poly({m: c * f for m, c in self.terms.items()})
+        terms: Dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(sorted(m1 + m2))
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return Poly(terms)
 
     __rmul__ = __mul__
@@ -116,12 +125,17 @@ class Poly:
     def dominates(self, other: "Poly", nonneg: FrozenSet[str]) -> bool:
         """Sufficient check for ``self(x) >= other(x)`` for all valuations
         with the ``nonneg`` symbols >= 0: every monomial of the difference
-        has a non-negative coefficient and only non-negative symbols."""
-        diff = self - other
-        for mono, coeff in diff.terms.items():
-            if coeff < 0:
+        has a non-negative coefficient and only non-negative symbols.
+        Walks both term dicts; the difference is never built."""
+        mine, theirs = self.terms, other.terms
+        for mono, coeff in mine.items():
+            diff = coeff - theirs.get(mono, 0)
+            if diff and (diff < 0 or any(sym not in nonneg for sym in mono)):
                 return False
-            if any(sym not in nonneg for sym in mono):
+        for mono, coeff in theirs.items():
+            if mono not in mine and (
+                coeff > 0 or any(sym not in nonneg for sym in mono)
+            ):
                 return False
         return True
 
@@ -174,10 +188,10 @@ def _prune_max(polys: Iterable[Poly], nonneg: FrozenSet[str]) -> Tuple[Poly, ...
     if len(kept) > MAX_SET_SIZE:
         # Collapse to the coefficient-wise maximum (sound upper bound for
         # non-negative symbols; see the module docstring).
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, Coeff] = {}
         for p in kept:
             for mono, coeff in p.terms.items():
-                terms[mono] = max(terms.get(mono, Fraction(0)), coeff)
+                terms[mono] = max(terms.get(mono, 0), coeff)
         kept = [Poly(terms)]
     return tuple(kept)
 
@@ -192,10 +206,10 @@ def _prune_min(polys: Iterable[Poly], nonneg: FrozenSet[str]) -> Tuple[Poly, ...
     if not kept:
         kept = unique[:1]
     if len(kept) > MAX_SET_SIZE:
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, Coeff] = {}
         for p in kept:
             for mono, coeff in p.terms.items():
-                terms[mono] = min(terms.get(mono, Fraction(0)), coeff)
+                terms[mono] = min(terms.get(mono, 0), coeff)
         kept = [Poly(terms)]
     return tuple(kept)
 

@@ -26,16 +26,14 @@ encode +∞ as ``float("inf")`` instead of ``None``:
 loop verbatim; the property tests in ``tests/domains`` use it as the
 oracle that the flat kernels agree with the seed semantics entry-wise.
 
-Matrix cache keys are bytes-backed where possible: an all-``int`` DBM
-packs into a single ``array('q')`` buffer (``+∞`` becomes a reserved
-sentinel; out-of-range values fall back to the string key), which is
-what the zone domain's memo tables and the interned-canonical-matrix
-table hash.
+Entries are ``int`` when integral and ``Fraction`` otherwise (the
+coefficient representation of :mod:`repro.domains.linexpr`); the only
+division, the octagon kernel's halving, goes through ``Fraction``, so
+no finite entry ever becomes a float.
 """
 
 from __future__ import annotations
 
-from array import array
 from fractions import Fraction
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,13 +42,6 @@ INF = float("inf")
 NEG_INF = float("-inf")
 
 Rows = List[List[object]]
-
-# array('q') packing: one reserved code for +oo.  Finite entries must
-# stay clear of the sentinel, so anything at or beyond ±2^62 (absurd for
-# a bound, but possible in principle) refuses the fast key instead of
-# risking a collision.
-_INF_CODE = (1 << 63) - 1
-_KEY_LIMIT = 1 << 62
 
 
 # -- observability -------------------------------------------------------------
@@ -126,6 +117,13 @@ def tighten_rows(m: Rows, n: int, a: int, b: int, c) -> None:
     the new edge or uses it once.  The caller must have checked
     consistency (``m[b][a] + c >= 0``) and that the update actually
     tightens (``c < m[a][b]``).  O(n²).
+
+    Row-skip invariant: a row ``i != a`` with ``m[i][a] + c >= m[i][b]``
+    cannot change, because closure gives ``m[i][j] <= m[i][b] + m[b][j]
+    <= m[i][a] + c + m[b][j]`` for every ``j``; such rows are left alone
+    (same list object).  Row ``a`` is always rebuilt: the caller may
+    have pre-written ``m[a][b] = c``, which breaks closure on that row
+    only.  Row ``b`` is always skipped by the consistency condition.
     """
     timed = _obs_enabled()
     start = perf_counter() if timed else 0.0
@@ -133,7 +131,7 @@ def tighten_rows(m: Rows, n: int, a: int, b: int, c) -> None:
     for i in range(n):
         row_i = m[i]
         mia = row_i[a]
-        if mia < INF:
+        if mia < INF and (i == a or mia + c < row_i[b]):
             if mia:
                 m[i] = list(map(min, row_i, [mia + v for v in shifted]))
             else:
@@ -248,31 +246,7 @@ def closure_reference(
     return m, False
 
 
-# -- bytes-backed keys and interning -------------------------------------------
-
-
-def int_key(m: Rows) -> Optional[bytes]:
-    """A compact injective key for an all-int ``INF``-encoded DBM, as
-    the raw buffer of an ``array('q')`` — or None when the matrix holds
-    a ``Fraction`` (or an implausibly large int that could collide with
-    the +∞ sentinel), in which case the caller falls back to a string
-    key.
-
-    The hot path is one substituting list comprehension plus the C-level
-    ``array('q')`` constructor, which validates int-ness and the 64-bit
-    range for free (``Fraction`` raises TypeError, a too-big int raises
-    OverflowError).  The only remaining hazard is a *finite* entry equal
-    to the +∞ sentinel itself; comparing C-level ``count``\\ s of the
-    sentinel before and after substitution detects exactly that case.
-    """
-    flat = [_INF_CODE if v == INF else v for row in m for v in row]
-    try:
-        buf = array("q", flat)
-    except (TypeError, OverflowError):
-        return None
-    if flat.count(_INF_CODE) != sum(row.count(INF) for row in m):
-        return None  # a finite entry collides with the sentinel
-    return buf.tobytes()
+# -- interning ----------------------------------------------------------------
 
 
 _INTERN: Dict[object, Rows] = {}

@@ -199,7 +199,7 @@ class IntervalState(AbstractState):
             limit = rest_iv.lo
             if limit is None:
                 continue
-            bound = -limit / coeff
+            bound = Fraction(-limit) / coeff
             box = boxes.get(var, Interval.TOP)
             if coeff > 0:
                 new_box = box.meet(Interval(None, bound))

@@ -5,6 +5,16 @@ The shared constraint language of every numeric abstract domain in
 with rational coefficients, and constraints ``e <= 0`` / ``e == 0`` (with
 ``e < 0`` normalized to ``e <= -1`` since all program values are
 integers).
+
+Numeric representation: a coefficient is stored as a plain ``int`` when
+it is integral and as a ``Fraction`` only otherwise (see :func:`exact`).
+Almost every coefficient a program produces is integral, and ``int``
+arithmetic is an order of magnitude cheaper than ``Fraction``
+arithmetic; mixed ``int``/``Fraction`` sums, products, comparisons and
+hashes are exact, so the two forms of one value are interchangeable
+everywhere.  Divisions go through ``Fraction`` (``int / int`` would be a
+float), and the value-returning queries ``coeff``/``evaluate`` hand out
+``Fraction`` as before.
 """
 
 from __future__ import annotations
@@ -16,8 +26,15 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 Coeff = Union[int, Fraction]
 
 
-def _frac(value: Coeff) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def exact(value) -> Coeff:
+    """``value`` in the canonical coefficient form: an ``int`` when
+    integral, else a ``Fraction`` (any other number is converted
+    exactly)."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class LinExpr:
@@ -34,11 +51,10 @@ class LinExpr:
         items = {}
         if coeffs:
             for var, coeff in coeffs.items():
-                f = _frac(coeff)
-                if f != 0:
-                    items[var] = f
-        self.coeffs: Dict[str, Fraction] = items
-        self.const: Fraction = _frac(const)
+                if coeff:
+                    items[var] = exact(coeff)
+        self.coeffs: Dict[str, Coeff] = items
+        self.const: Coeff = exact(const)
 
     # -- constructors ---------------------------------------------------------
 
@@ -60,13 +76,13 @@ class LinExpr:
         return tuple(sorted(self.coeffs))
 
     def coeff(self, var: str) -> Fraction:
-        return self.coeffs.get(var, Fraction(0))
+        return Fraction(self.coeffs.get(var, 0))
 
     def evaluate(self, env: Mapping[str, Coeff]) -> Fraction:
         total = self.const
         for var, coeff in self.coeffs.items():
-            total += coeff * _frac(env[var])
-        return total
+            total += coeff * exact(env[var])
+        return Fraction(total)
 
     def substitute(self, var: str, replacement: "LinExpr") -> "LinExpr":
         """Replace ``var`` by ``replacement``."""
@@ -85,10 +101,10 @@ class LinExpr:
 
     def __add__(self, other: Union["LinExpr", Coeff]) -> "LinExpr":
         if isinstance(other, (int, Fraction)):
-            return LinExpr(self.coeffs, self.const + _frac(other))
+            return LinExpr(self.coeffs, self.const + other)
         coeffs = dict(self.coeffs)
         for var, coeff in other.coeffs.items():
-            coeffs[var] = coeffs.get(var, Fraction(0)) + coeff
+            coeffs[var] = coeffs.get(var, 0) + coeff
         return LinExpr(coeffs, self.const + other.const)
 
     def __radd__(self, other: Coeff) -> "LinExpr":
@@ -99,14 +115,14 @@ class LinExpr:
 
     def __sub__(self, other: Union["LinExpr", Coeff]) -> "LinExpr":
         if isinstance(other, (int, Fraction)):
-            return LinExpr(self.coeffs, self.const - _frac(other))
+            return LinExpr(self.coeffs, self.const - other)
         return self + (-other)
 
     def __rsub__(self, other: Coeff) -> "LinExpr":
         return (-self) + other
 
     def __mul__(self, factor: Coeff) -> "LinExpr":
-        f = _frac(factor)
+        f = exact(factor)
         return LinExpr({v: c * f for v, c in self.coeffs.items()}, self.const * f)
 
     def __rmul__(self, factor: Coeff) -> "LinExpr":

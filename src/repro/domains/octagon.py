@@ -20,16 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.domains import dbm
 from repro.domains.base import AbstractState, Bound, Domain
-from repro.domains.linexpr import LinCons, LinExpr, RelOp
+from repro.domains.linexpr import LinCons, LinExpr, RelOp, exact
 
 Matrix = List[List[Bound]]
-
-
-def _norm(value):
-    """Integral bounds as plain ints (see the zone domain's rationale)."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
 
 
 def _bar(i: int) -> int:
@@ -141,7 +134,7 @@ class OctagonState(AbstractState):
 
     def _set(self, m: Matrix, i: int, j: int, bound) -> None:
         """Tighten m[i][j] (and its coherent mirror) to ``bound``."""
-        bound = _norm(bound)
+        bound = exact(bound)
         if m[i][j] is None or bound < m[i][j]:
             m[i][j] = bound
         bi, bj = _bar(j), _bar(i)
@@ -326,7 +319,7 @@ class OctagonState(AbstractState):
                 rest_lo, _ = closed.bounds_of(rest)
                 if rest_lo is None:
                     continue
-                limit = -rest_lo / coeff
+                limit = Fraction(-rest_lo) / coeff
                 x = state._index[var]
                 if coeff > 0:
                     self._set(m, x, x + 1, 2 * limit)

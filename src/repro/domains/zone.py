@@ -31,21 +31,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.domains import dbm
 from repro.domains.base import AbstractState, Bound, Domain
 from repro.domains.dbm import INF, NEG_INF
-from repro.domains.linexpr import LinCons, LinExpr, RelOp
+from repro.domains.linexpr import LinCons, LinExpr, RelOp, exact
 from repro.perf import runtime
 from repro.resilience import faults
 
 Matrix = List[List[object]]
-
-
-def _norm(value):
-    """Store integral bounds as plain ints: Fraction arithmetic is ~20x
-    slower than int arithmetic, and the closure kernels are the hot
-    loop of the whole tool.  Mixed int/Fraction comparisons and sums
-    are exact either way."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
 
 
 _INDEX_CACHE: Dict[Tuple[str, ...], Dict[str, int]] = {}
@@ -160,30 +150,17 @@ class ZoneState(AbstractState):
         Two states with equal keys denote the same DBM (same variables in
         the same order, entry-wise equal bounds), so every derived value
         — closure, join, ordering, transfer results — is equal too.  The
-        common all-int matrix packs into a single ``array('q')`` buffer
-        (:func:`repro.domains.dbm.int_key`): a compact bytes key whose
-        hash is one C-level pass.  Matrices holding ``Fraction`` bounds
-        fall back to a normalized string rendering, under which
-        ``str(Fraction(3))`` and ``str(3)`` coincide, so mixed integral
-        representations of the same zone collapse onto one key.  Bytes
-        and str keys can never collide (different types never compare
-        equal).
+        key is the joined variable list plus the matrix as a tuple of row
+        tuples, built and hashed at C level.  Tuple equality compares
+        entries numerically, so ``3`` and ``Fraction(3)`` key alike, and
+        ``INF`` equals no finite bound.
         """
         key = self._key_cache
         if key is None:
             if self._bottom:
                 key = "bot"
             else:
-                packed = dbm.int_key(self._m)
-                if packed is not None:
-                    key = (",".join(self._vars), packed)
-                else:
-                    key = ",".join(self._vars) + "|" + "|".join(
-                        ";".join(
-                            "N" if e == INF else str(e) for e in row
-                        )
-                        for row in self._m
-                    )
+                key = (",".join(self._vars), tuple(map(tuple, self._m)))
             self._key_cache = key
         return key
 
@@ -243,7 +220,10 @@ class ZoneState(AbstractState):
         a DBM is its unique shortest-path matrix, the result is
         *identical* to what a full re-closure would produce.  Updates are
         applied sequentially; after each one the matrix is closed again,
-        so chaining stays exact.
+        so chaining stays exact.  Rows that cannot change — ``i != a``
+        with ``m[i][a] + c >= m[i][b]``, since closure already bounds
+        ``m[i][j]`` by ``m[i][b] + m[b][j]`` — are skipped by
+        :func:`repro.domains.dbm.tighten_rows` and keep their list object.
         """
         if self._bottom:
             return self
@@ -256,7 +236,9 @@ class ZoneState(AbstractState):
         m: Optional[Matrix] = None
         n = base._dim()
         for a, b, c in updates:
-            c = _norm(c)
+            # Integral bounds stay plain ints: Fraction arithmetic is
+            # ~20x slower, and these kernels are the tool's hot loop.
+            c = exact(c)
             src = base._m if m is None else m
             if src[a][b] <= c:
                 continue
@@ -286,7 +268,6 @@ class ZoneState(AbstractState):
         base = self if self._closed else self._close()
         if base._bottom:
             return base
-        c = _norm(c)
         m = base._copy_matrix()
         row_x = [v + c for v in m[y]]
         row_x[x] = 0
@@ -412,7 +393,7 @@ class ZoneState(AbstractState):
             (src, coeff), = coeffs.items()
             if coeff == 1 and src == var:
                 # var := var + c : shift the row/column.
-                c = _norm(expr.const)
+                c = expr.const
                 m = state._copy_matrix()
                 n = state._dim()
                 row_x = m[x]
@@ -487,7 +468,7 @@ class ZoneState(AbstractState):
                 rest_lo, _ = closed.bounds_of(rest)
                 if rest_lo is None:
                     continue
-                limit = -rest_lo / coeff
+                limit = Fraction(-rest_lo) / coeff
                 x = state._index[var]
                 if coeff > 0:
                     updates.append((x, 0, limit))

@@ -7,18 +7,23 @@ DBMs (ints and Fractions, varying +∞ density, planted negative cycles):
 * the flat Floyd–Warshall kernel must agree entry-wise, including the
   inconsistency verdict and the int-vs-Fraction *type* of every entry;
 * the O(n²) incremental closure after one tightened constraint must
-  agree with re-closing the tightened matrix from scratch;
-* the bytes cache key must be injective where defined and refuse
-  exactly the matrices it cannot encode.
+  agree with re-closing the tightened matrix from scratch, and leave
+  every row its skip invariant exempts untouched;
+* the zone cache key must be equal exactly when the variable lists and
+  the matrices are entry-wise equal.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.domains import dbm
 from repro.domains.dbm import INF
+from repro.domains.linexpr import exact
+from repro.domains.zone import ZoneState
 
 
 def random_opt_matrix(rng, n, frac_prob=0.0, inf_prob=0.35, lo=-8, hi=12):
@@ -90,62 +95,133 @@ class TestFlatClosureAgreesWithSeed:
         assert got is None and expect is None
 
 
+def consistent_opt_matrix(rng, n, frac_prob=0.0, inf_prob=0.35):
+    """A random *consistent* ``None``-encoded DBM: every finite entry is
+    ``x_i - x_j`` plus a non-negative slack for one hidden valuation
+    ``x``, so no negative cycle exists however large ``n`` is."""
+    x = [rng.randint(-10, 10) for _ in range(n)]
+    m = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(0)
+            elif rng.random() < inf_prob:
+                row.append(None)
+            elif rng.random() < frac_prob:
+                slack = Fraction(rng.randint(0, 12), rng.randint(1, 4))
+                row.append(x[i] - x[j] + slack)
+            else:
+                row.append(x[i] - x[j] + rng.randint(0, 6))
+        m.append(row)
+    return m
+
+
+def tightening(rng, closed, frac):
+    """A strictly tightening, still-consistent ``(a, b, c)`` for a closed
+    matrix: ``-m[b][a] <= c < m[a][b]``, or None when no sampled pair
+    has room."""
+    for _ in range(20):
+        a, b = rng.sample(range(len(closed)), 2)
+        old, back = closed[a][b], closed[b][a]
+        hi = old if old is not None else rng.randint(-3, 9)
+        lo = -back if back is not None else hi - 6
+        if lo < hi:
+            k = rng.randint(0, 3)
+            if frac:
+                return a, b, exact(lo + (hi - lo) * Fraction(k, 4))
+            return a, b, lo + (hi - lo) * k // 4
+    return None
+
+
 class TestIncrementalClosureAgreesWithFull:
     @pytest.mark.parametrize("seed", range(60))
     def test_tighten_matches_reclose(self, seed):
+        """Both caller conventions (``m[a][b]`` pre-written to ``c`` or
+        left as it was), int and Fraction entries, up to 24 indices; rows
+        the skip invariant exempts keep their list object."""
         rng = random.Random(3000 + seed)
-        n = rng.randint(2, 7)
-        matrix = random_opt_matrix(
-            rng, n, frac_prob=0.2 if seed % 3 == 0 else 0.0
+        n = rng.randint(2, 24)
+        frac = seed % 3 == 0
+        closed, empty = dbm.closure_reference(
+            consistent_opt_matrix(rng, n, frac_prob=0.3 if frac else 0.0)
         )
-        closed, empty = dbm.closure_reference(matrix)
-        if empty:
-            return
-        a, b = rng.sample(range(n), 2)
-        old = closed[a][b]
-        # Pick a strictly tightening, still-consistent bound.
-        c = (old - rng.randint(1, 3)) if old is not None else rng.randint(-3, 3)
-        back = closed[b][a]
-        if back is not None and back + c < 0:
-            return  # would go empty; tighten_rows' contract excludes this
-        rows = dbm.rows_from_opt(closed)
-        rows[a][b] = c
-        dbm.tighten_rows(rows, n, a, b, c)
+        assert not empty
+        picked = tightening(rng, closed, frac)
+        assert picked is not None
+        a, b, c = picked
         tightened = [list(r) for r in closed]
         tightened[a][b] = c
         expect, expect_empty = dbm.closure_reference(tightened)
         assert not expect_empty
-        assert dbm.rows_to_opt(rows) == expect
+        for prewrite in (True, False):
+            rows = dbm.rows_from_opt(closed)
+            if prewrite:
+                rows[a][b] = c
+            before = list(rows)
+            skipped = [
+                i
+                for i in range(n)
+                if i != a and not rows[i][a] + c < rows[i][b]
+            ]
+            assert b in skipped  # consistency: m[b][a] + c >= 0 = m[b][b]
+            dbm.tighten_rows(rows, n, a, b, c)
+            assert dbm.rows_to_opt(rows) == expect
+            for i in skipped:
+                assert rows[i] is before[i]
+
+    def test_prewritten_row_a_is_rebuilt(self):
+        """With ``m[a][b]`` pre-written the skip test on row ``a`` would
+        pass (``0 + c >= c``), yet the row must still pick up the paths
+        through the new edge: here ``v1 - v0 <= 1`` via ``v2``."""
+        closed, _ = dbm.closure_reference(
+            [[0, None, None], [None, 0, None], [0, None, 0]]
+        )
+        rows = dbm.rows_from_opt(closed)
+        rows[1][2] = 1
+        dbm.tighten_rows(rows, 3, 1, 2, 1)
+        assert rows[1][0] == 1
 
 
-class TestIntKey:
-    def test_distinct_matrices_distinct_keys(self):
-        rng = random.Random(7)
-        seen = {}
-        for _ in range(200):
-            m = dbm.rows_from_opt(random_opt_matrix(rng, 3))
-            key = dbm.int_key(m)
-            assert key is not None
-            flat = tuple(tuple(r) for r in m)
-            if key in seen:
-                assert seen[key] == flat
-            seen[key] = flat
+# -- zone cache keys -------------------------------------------------------------
 
-    def test_fraction_entries_refuse_fast_key(self):
-        assert dbm.int_key([[0, Fraction(1, 2)], [1, 0]]) is None
+ENTRY = st.sampled_from([0, 1, -2, 3, Fraction(3), Fraction(1, 2), Fraction(-4, 2), INF])
+VARS = st.lists(st.sampled_from("xyz"), min_size=0, max_size=2, unique=True)
 
-    def test_huge_int_refuses_fast_key(self):
-        assert dbm.int_key([[0, 10**25], [1, 0]]) is None
 
-    def test_sentinel_collision_refuses_fast_key(self):
-        # A *finite* entry equal to the +∞ sentinel must not be
-        # conflated with a real +∞.
-        sentinel = (1 << 63) - 1
-        assert dbm.int_key([[0, sentinel], [1, 0]]) is None
-        assert dbm.int_key([[0, INF], [1, 0]]) is not None
+@st.composite
+def zone_parts(draw):
+    variables = draw(VARS)
+    n = len(variables) + 1
+    matrix = [[draw(ENTRY) for _ in range(n)] for _ in range(n)]
+    return variables, matrix
 
-    def test_inf_encodes_stably(self):
-        a = dbm.int_key([[0, INF], [3, 0]])
-        b = dbm.int_key([[0, INF], [3, 0]])
-        c = dbm.int_key([[0, INF], [4, 0]])
-        assert a == b and a != c
+
+class TestZoneCacheKey:
+    @settings(max_examples=300, deadline=None)
+    @given(zone_parts(), zone_parts())
+    def test_equal_keys_iff_equal_content(self, left, right):
+        (vars_l, m_l), (vars_r, m_r) = left, right
+        key_l = ZoneState(vars_l, m_l).cache_key()
+        key_r = ZoneState(vars_r, m_r).cache_key()
+        same = vars_l == vars_r and m_l == m_r
+        assert (key_l == key_r) == same
+        if same:
+            assert hash(key_l) == hash(key_r)
+
+    def test_integral_fraction_keys_like_int(self):
+        a = ZoneState(["x"], [[0, 3], [Fraction(-2), 0]]).cache_key()
+        b = ZoneState(["x"], [[0, Fraction(3)], [-2, 0]]).cache_key()
+        assert a == b and hash(a) == hash(b)
+        c = ZoneState(["x"], [[0, Fraction(7, 2)], [-2, 0]]).cache_key()
+        assert c != a
+
+    @pytest.mark.parametrize(
+        "finite",
+        [0, -1, (1 << 63) - 1, 10**25, Fraction(10**30, 3)],
+        ids=["zero", "negative", "old_sentinel", "huge", "huge_fraction"],
+    )
+    def test_inf_never_equals_finite(self, finite):
+        with_inf = ZoneState(["x"], [[0, INF], [0, 0]]).cache_key()
+        with_finite = ZoneState(["x"], [[0, finite], [0, 0]]).cache_key()
+        assert with_inf != with_finite
