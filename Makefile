@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-resilience smoke-service smoke-service-load smoke-metrics diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke incremental-sweep digests bench-service bench-diffcheck bench-leakage table1
+.PHONY: test test-resilience smoke-service smoke-service-load smoke-metrics diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke incremental-sweep digests bench-pairs bench-service bench-diffcheck bench-leakage table1
 
 test: diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke smoke-service-load
 	$(PYTHON) -m pytest -q
@@ -84,6 +84,16 @@ incremental-sweep:
 # diff; tests/integration/test_verdict_digests.py checks the pin.
 digests:
 	$(PYTHON) -m tests.digest_pin
+
+# Alternating A/B benchmark pairs (benchmarks/bench_pairs.py): BASE's
+# committed files against the working tree under perfbench/run.py, seeds
+# 1..PAIRS, first side swapped every pair.  Prints per-metric medians and
+# quartiles, win counts and the 9-of-10 / median-beyond-IQR verdict.
+BASE ?= HEAD
+WORKLOAD ?= scaled
+PAIRS ?= 10
+bench-pairs:
+	$(PYTHON) benchmarks/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 test-resilience:
 	$(PYTHON) -m pytest -q -m resilience

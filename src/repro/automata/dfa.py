@@ -5,8 +5,11 @@ compiled to DFAs, and REFINEPARTITION manipulates them with intersection,
 union, complement, inclusion and emptiness.
 
 Transitions are *partial*: a missing ``(state, symbol)`` entry means the
-word is rejected.  Operations that require totality (complement) complete
-the automaton with a sink over an explicit alphabet first.
+word is rejected (it goes to an implicit dead state).  Minimization and
+intersection — the two operations every refinement split pays for — work
+on the partial map directly; only complement and union, which need
+totality, complete the automaton with a sink over an explicit alphabet
+first.
 """
 
 from __future__ import annotations
@@ -41,18 +44,13 @@ class DFA:
                 return False
         return state in self.accepting
 
-    def successors(self, state: int) -> List[Tuple[Symbol, int]]:
-        return [(sym, dst) for (src, sym), dst in self.transitions.items() if src == state]
-
-    def with_alphabet(self, alphabet: FrozenSet[Symbol]) -> "DFA":
-        """The same automaton declared over a (super-)alphabet."""
-        missing = self._used_symbols() - set(alphabet)
-        if missing:
-            raise AutomatonError("alphabet misses used symbols: %r" % (missing,))
-        return DFA(self.num_states, self.initial, set(self.accepting), dict(self.transitions), frozenset(alphabet))
-
     def _used_symbols(self) -> Set[Symbol]:
         return {sym for (_, sym) in self.transitions}
+
+    def _joint_symbols(self, other: "DFA") -> Set[Symbol]:
+        """Both alphabets and every symbol either side uses (the
+        iteration order of this set fixes product state numbering)."""
+        return set(self.alphabet) | self._used_symbols() | set(other.alphabet) | other._used_symbols()
 
     # -- language queries ----------------------------------------------------------
 
@@ -99,24 +97,21 @@ class DFA:
         checked with Kahn's algorithm.
         """
         useful = self._useful_states()
-        edges = [
-            (src, dst)
-            for (src, _), dst in self.transitions.items()
-            if src in useful and dst in useful
-        ]
+        fwd: Dict[int, List[int]] = {}
         indegree = {state: 0 for state in useful}
-        for _, dst in edges:
-            indegree[dst] += 1
+        for (src, _), dst in self.transitions.items():
+            if src in useful and dst in useful:
+                fwd.setdefault(src, []).append(dst)
+                indegree[dst] += 1
         queue = deque(state for state, deg in indegree.items() if deg == 0)
         removed = 0
         while queue:
             node = queue.popleft()
             removed += 1
-            for src, dst in edges:
-                if src == node:
-                    indegree[dst] -= 1
-                    if indegree[dst] == 0:
-                        queue.append(dst)
+            for dst in fwd.get(node, ()):
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    queue.append(dst)
         return removed == len(useful)
 
     def _useful_states(self) -> Set[int]:
@@ -172,47 +167,60 @@ class DFA:
         accepting = {s for s in range(total.num_states) if s not in total.accepting}
         return DFA(total.num_states, total.initial, accepting, dict(total.transitions), total.alphabet)
 
-    def _product(self, other: "DFA", accept_both: bool, accept_either: bool) -> "DFA":
-        symbols = (
-            set(self.alphabet)
-            | self._used_symbols()
-            | set(other.alphabet)
-            | other._used_symbols()
-        )
-        left = self.completed(frozenset(symbols))
-        right = other.completed(frozenset(symbols))
-        index: Dict[Tuple[int, int], int] = {(left.initial, right.initial): 0}
-        worklist = [(left.initial, right.initial)]
+    def intersect(self, other: "DFA") -> "DFA":
+        """Product over the transitions both sides define.
+
+        A pair with a missing side would only lead to the dead state, so
+        it is never built.  Each left state's outgoing symbols are walked
+        in the iteration order of the joint symbol set — the order the
+        sink-completed product used — so the pairs that remain are
+        discovered in the same relative order, and :meth:`minimized`
+        numbers their states exactly as it would on the dense product.
+        """
+        return self._product(other, accept_either=False)
+
+    def union(self, other: "DFA") -> "DFA":
+        """Union needs totality — a word one side rejects can still be
+        accepted by the other — so both sides are sink-completed over
+        the joint symbols before the product."""
+        symbols = frozenset(self._joint_symbols(other))
+        return self.completed(symbols)._product(other.completed(symbols), accept_either=True)
+
+    def _product(self, other: "DFA", accept_either: bool) -> "DFA":
+        symbols = self._joint_symbols(other)
+        rank = {symbol: i for i, symbol in enumerate(symbols)}
+        outgoing: Dict[int, List[Tuple[int, Symbol, int]]] = {}
+        for (src, symbol), dst in self.transitions.items():
+            outgoing.setdefault(src, []).append((rank[symbol], symbol, dst))
+        for arcs in outgoing.values():
+            arcs.sort(key=lambda arc: arc[0])
+        right = other.transitions
+        index: Dict[Tuple[int, int], int] = {(self.initial, other.initial): 0}
+        worklist = [(self.initial, other.initial)]
         transitions: Dict[Tuple[int, Symbol], int] = {}
         accepting: Set[int] = set()
         while worklist:
             pair = worklist.pop()
+            a, b = pair
             src = index[pair]
-            a_acc = pair[0] in left.accepting
-            b_acc = pair[1] in right.accepting
-            if (accept_both and a_acc and b_acc) or (accept_either and (a_acc or b_acc)):
+            a_acc = a in self.accepting
+            b_acc = b in other.accepting
+            if (a_acc or b_acc) if accept_either else (a_acc and b_acc):
                 accepting.add(src)
-            for symbol in symbols:
-                nxt = (left.transitions[(pair[0], symbol)], right.transitions[(pair[1], symbol)])
-                if nxt not in index:
-                    index[nxt] = len(index)
+            for _, symbol, a_dst in outgoing.get(a, ()):
+                b_dst = right.get((b, symbol))
+                if b_dst is None:
+                    continue
+                nxt = (a_dst, b_dst)
+                dst = index.get(nxt)
+                if dst is None:
+                    dst = index[nxt] = len(index)
                     worklist.append(nxt)
-                transitions[(src, symbol)] = index[nxt]
+                transitions[(src, symbol)] = dst
         return DFA(len(index), 0, accepting, transitions, frozenset(symbols))
 
-    def intersect(self, other: "DFA") -> "DFA":
-        return self._product(other, accept_both=True, accept_either=False)
-
-    def union(self, other: "DFA") -> "DFA":
-        return self._product(other, accept_both=False, accept_either=True)
-
     def difference(self, other: "DFA") -> "DFA":
-        symbols = (
-            set(self.alphabet)
-            | self._used_symbols()
-            | set(other.alphabet)
-            | other._used_symbols()
-        )
+        symbols = self._joint_symbols(other)
         return self.intersect(other.complement(frozenset(symbols)))
 
     def includes(self, other: "DFA") -> bool:
@@ -238,47 +246,63 @@ class DFA:
         return DFA(len(index), index[self.initial], accepting, transitions, self.alphabet)
 
     def minimized(self) -> "DFA":
-        """Moore partition-refinement minimization of the trimmed DFA."""
-        trimmed = self.trimmed().completed()
-        symbols = sorted(trimmed.alphabet, key=repr)
-        # Initial partition: accepting vs non-accepting.
-        block_of = {
-            state: (1 if state in trimmed.accepting else 0)
-            for state in range(trimmed.num_states)
-        }
-        num_blocks = 2 if trimmed.accepting and len(trimmed.accepting) < trimmed.num_states else 1
+        """Moore partition refinement over the trimmed DFA's own partial
+        transitions; a missing transition goes to the implicit dead state.
+
+        Every state of a trimmed DFA with a non-empty language reaches
+        acceptance, so none is equivalent to the dead state: the
+        partition, and blocks numbered by first appearance in state
+        order, are those of the sink-completed refinement, whose sink
+        was the last state (docs/PERFORMANCE.md, "Sparse automata").
+        """
+        trimmed = self.trimmed()
+        symbols = set(trimmed.alphabet) | trimmed._used_symbols()
         if not trimmed.accepting:
-            block_of = {s: 0 for s in block_of}
-            num_blocks = 1
-        elif len(trimmed.accepting) == trimmed.num_states:
-            block_of = {s: 0 for s in block_of}
-            num_blocks = 1
-        changed = True
-        while changed:
-            changed = False
-            signature: Dict[int, Tuple] = {}
-            for state in range(trimmed.num_states):
-                signature[state] = (
-                    block_of[state],
-                    tuple(block_of[trimmed.transitions[(state, sym)]] for sym in symbols),
-                )
-            new_index: Dict[Tuple, int] = {}
-            new_block_of: Dict[int, int] = {}
-            for state in range(trimmed.num_states):
-                sig = signature[state]
-                if sig not in new_index:
-                    new_index[sig] = len(new_index)
-                new_block_of[state] = new_index[sig]
-            if len(new_index) != num_blocks:
-                changed = True
-                num_blocks = len(new_index)
+            # Empty language: one rejecting state looping on every symbol,
+            # its own loops (the only transitions trimming keeps) first.
+            transitions = dict(trimmed.transitions)
+            for symbol in symbols:
+                transitions.setdefault((trimmed.initial, symbol), trimmed.initial)
+            return DFA(1, trimmed.initial, set(), transitions, frozenset(symbols))
+        n = trimmed.num_states
+        outgoing: List[List[Tuple[Symbol, int]]] = [[] for _ in range(n)]
+        for (src, symbol), dst in trimmed.transitions.items():
+            outgoing[src].append((symbol, dst))
+        # Start from (accepting?, defined symbols): a defined symbol leads
+        # to a live state and a missing one to the dead state, so states
+        # differing in either are distinguishable.  Within a block the
+        # defined symbols agree, so a signature lists only the
+        # destination blocks, in one shared symbol order.
+        rank: Dict[Symbol, int] = {}
+        for (_, symbol) in trimmed.transitions:
+            rank.setdefault(symbol, len(rank))
+        targets: List[List[int]] = []
+        initial_key: Dict[Tuple, int] = {}
+        block_of: List[int] = []
+        for state in range(n):
+            arcs = sorted(outgoing[state], key=lambda arc: rank[arc[0]])
+            targets.append([dst for _, dst in arcs])
+            key = (state in trimmed.accepting, tuple(symbol for symbol, _ in arcs))
+            block_of.append(initial_key.setdefault(key, len(initial_key)))
+        num_blocks = len(initial_key)
+        while True:
+            index: Dict[Tuple, int] = {}
+            new_block_of: List[int] = []
+            for state in range(n):
+                sig = (block_of[state], tuple([block_of[dst] for dst in targets[state]]))
+                block = index.get(sig)
+                if block is None:
+                    block = index[sig] = len(index)
+                new_block_of.append(block)
             block_of = new_block_of
+            if len(index) == num_blocks:
+                break
+            num_blocks = len(index)
         transitions: Dict[Tuple[int, Symbol], int] = {}
         for (src, symbol), dst in trimmed.transitions.items():
             transitions[(block_of[src], symbol)] = block_of[dst]
         accepting = {block_of[s] for s in trimmed.accepting}
-        dfa = DFA(num_blocks, block_of[trimmed.initial], accepting, transitions, trimmed.alphabet)
-        return dfa.trimmed()
+        return DFA(num_blocks, block_of[trimmed.initial], accepting, transitions, frozenset(symbols))
 
     # -- enumeration (tests) ----------------------------------------------------------
 

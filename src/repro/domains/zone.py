@@ -25,6 +25,7 @@ lazily on queries.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -84,10 +85,21 @@ class ZoneState(AbstractState):
         # same *objects* across widening and narrowing iterations — the
         # transfer memo returns cached state objects, and a stable loop
         # head keeps its invariant object — so remembering the last
-        # partner by identity (a strong ref, so ids stay valid) hits the
-        # hot repeats without paying content-key construction.
-        self._join_last: Optional[Tuple["ZoneState", "ZoneState"]] = None
-        self._leq_last: Optional[Tuple["ZoneState", bool]] = None
+        # partner by identity hits the hot repeats without paying
+        # content-key construction.  Partner and join result are held by
+        # weak reference: two states that meet would otherwise point at
+        # each other (and a join returning ``self`` at itself), leaving
+        # every matrix they hold to the cyclic garbage collector.
+        self._join_last: Optional[Tuple[weakref.ref, weakref.ref]] = None
+        self._leq_last: Optional[Tuple[weakref.ref, bool]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The closure, key and identity memos are derived (and weak
+        # references cannot be pickled): persist the DBM alone.
+        state = dict(self.__dict__)
+        for slot in ("_closure", "_key_cache", "_join_last", "_leq_last"):
+            state[slot] = None
+        return state
 
     # -- plumbing ------------------------------------------------------------
 
@@ -293,10 +305,12 @@ class ZoneState(AbstractState):
         # same transfer-memoized out-state every iteration).
         if runtime.enabled():
             memo = self._join_last
-            if memo is not None and memo[0] is other:
-                return memo[1]
+            if memo is not None and memo[0]() is other:
+                result = memo[1]()
+                if result is not None:
+                    return result
             result = self._join(other)
-            self._join_last = (other, result)
+            self._join_last = (weakref.ref(other), weakref.ref(result))
             return result
         return self._join(other)
 
@@ -348,10 +362,10 @@ class ZoneState(AbstractState):
         # operands.
         if runtime.enabled():
             memo = self._leq_last
-            if memo is not None and memo[0] is other:
+            if memo is not None and memo[0]() is other:
                 return memo[1]
             result = self._leq(other)
-            self._leq_last = (other, result)
+            self._leq_last = (weakref.ref(other), result)
             return result
         return self._leq(other)
 

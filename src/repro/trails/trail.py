@@ -192,9 +192,11 @@ class Trail:
     def derived(
         self, dfa: DFA, description: str, split: SplitInfo
     ) -> "Trail":
+        """The child trail over ``dfa``, which the caller has already
+        minimized (minimizing a minimal DFA returns it unchanged)."""
         return Trail(
             cfg=self.cfg,
-            dfa=dfa.minimized(),
+            dfa=dfa,
             description=description,
             splits=self.splits + (split,),
             delta=RefinementDelta(

@@ -7,6 +7,7 @@ result as the unmemoized seed path.  Checked here both on hand-picked
 cases and on randomized operation sequences.
 """
 
+import gc
 import random
 from fractions import Fraction
 
@@ -150,3 +151,39 @@ class TestCacheKey:
             a = DOMAIN.top(["x", "y"]).guard(LinCons.le(x - y, 2))
             b = DOMAIN.top(["x", "y"]).guard(LinCons.le(x - y, 2))
             assert _entries(a) == _entries(b)
+
+
+class TestIdentityMemosAreAcyclic:
+    def test_scaled_analysis_leaves_no_cyclic_zone_states(self):
+        """The join/leq identity slots hold partner and result weakly, so
+        states that met each other are freed by reference counting
+        instead of waiting, with all their matrices, for the cyclic GC."""
+        from repro.core.blazer import Blazer, BlazerConfig
+        from repro.diffcheck.differ import DiffConfig
+        from repro.diffcheck.generator import PROC_NAME, GeneratorConfig, generate_program
+        from repro.leakage.model import extern_env
+
+        # The largest-memory program of the scaled benchmark's draw.
+        program = generate_program(0, 40, GeneratorConfig(max_stmts=6, max_depth=2, max_loops=2))
+        diff = DiffConfig()
+        config = BlazerConfig(
+            domain=diff.domain,
+            observer=diff.observer(program.domain_map),
+            summaries=extern_env(program.source).summaries,
+        )
+        with runtime.override(True):
+            runtime.clear_caches()
+            gc.collect()
+            flags = gc.get_debug()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                # Keep the verdict (and the memo tables) alive: only what
+                # nothing live reaches counts as leaked.
+                verdict = Blazer.from_source(program.source, config).analyze(PROC_NAME)
+                gc.collect()
+                leaked = [obj for obj in gc.garbage if isinstance(obj, ZoneState)]
+            finally:
+                gc.set_debug(flags)
+                gc.garbage.clear()
+        assert verdict.status == "attack"
+        assert leaked == []

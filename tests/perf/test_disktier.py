@@ -115,3 +115,32 @@ class TestPickledPayloads:
         tier = _tier(tmp_path)
         tier.put("k", {"status": "safe"})
         assert tier.get_pickled("k") is None
+
+    def test_real_bound_results_round_trip(self, tmp_path):
+        """Bound results hold zone states whose identity memos are weak
+        references; pickling must drop those derived slots, or every
+        disk-tier write of a real result is silently skipped."""
+        from repro.benchsuite import FULL_SUITE
+        from repro.bounds.analysis import BoundResult
+        from repro.core.blazer import Blazer
+        from repro.perf.cache import entry_digest
+
+        bench = FULL_SUITE.get("modPow1_unsafe")
+        with runtime.override(True):
+            runtime.clear_caches()
+            blazer = Blazer.from_source(bench.source, bench.config())
+            blazer.analyze(bench.proc)
+        results = {
+            key: value
+            for key, (value, _) in blazer.cache._bounds.items()
+            if isinstance(value, BoundResult) and value.main is not None
+        }
+        assert results
+        tier = _tier(tmp_path)
+        for key, value in results.items():
+            assert tier.put_pickled(key, value) is True
+        reopened = _tier(tmp_path)
+        for key, value in results.items():
+            back = reopened.get_pickled(key)
+            assert isinstance(back, BoundResult)
+            assert entry_digest(back) == entry_digest(value)
