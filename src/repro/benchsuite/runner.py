@@ -346,8 +346,7 @@ class ParallelSuiteRunner:
         """Re-run one failed benchmark serially, with backoff.
 
         The retry loop itself lives in :func:`repro.resilience.retry.
-        run_with_retries` (shared with the analysis-service workers);
-        this wrapper adds the suite bookkeeping: journal record, retry
+        run_with_retries`; this wrapper adds the suite bookkeeping: journal record, retry
         counters, and interrupt-with-completed-prefix semantics.
         """
         try:

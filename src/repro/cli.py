@@ -41,9 +41,9 @@ Subcommands mirror the stages a Blazer user cares about:
 ``serve`` / ``submit`` / ``status``
     The resident analysis service (docs/SERVICE.md): boot the daemon,
     send it a job over the NDJSON socket protocol, inspect its queue.
-    ``serve --aio`` boots the asyncio sharded tier instead — pipelined
-    connections, admission control, circuit-breaker shard quarantine,
-    graceful SIGTERM drain.
+    The daemon is one asyncio event loop in front of worker shards:
+    pipelined connections, admission control, circuit-breaker shard
+    quarantine, graceful SIGTERM drain.
 
 ``loadgen``
     Replay mixed benchmark + diffcheck traffic against the async tier
@@ -533,64 +533,39 @@ def cmd_leakage(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    if args.aio:
-        import asyncio
+    import asyncio
 
-        from repro.service.aio import AsyncAnalysisDaemon
+    from repro.service.aio import AsyncAnalysisDaemon
 
-        daemon = AsyncAnalysisDaemon(
-            args.address,
-            shards=args.shards,
-            workers_per_shard=args.workers_per_shard,
-            cache_dir=args.cache_dir,
-            isolation=args.isolation,
-            max_pending=args.max_pending,
-            shard_inflight=args.shard_inflight,
-            rate=args.rate,
-            burst=args.burst,
-            default_deadline=args.deadline,
-            task_timeout=args.task_timeout,
-        )
-
-        async def _serve() -> None:
-            await daemon.start()
-            print(
-                "serving on %s (async, %d shard(s) x %d worker(s), %s isolation)"
-                % (
-                    daemon.address,
-                    daemon.shards.count,
-                    args.workers_per_shard,
-                    daemon.isolation,
-                ),
-                flush=True,
-            )
-            await daemon.serve_forever()  # SIGTERM/SIGINT drain gracefully
-
-        asyncio.run(_serve())
-        return 0
-
-    import signal
-
-    from repro.service import AnalysisDaemon
-
-    daemon = AnalysisDaemon(
+    daemon = AsyncAnalysisDaemon(
         args.address,
-        workers=args.workers,
+        shards=args.shards,
+        workers_per_shard=args.workers_per_shard,
         cache_dir=args.cache_dir,
         isolation=args.isolation,
-        retries=args.retries,
+        max_pending=args.max_pending,
+        shard_inflight=args.shard_inflight,
+        rate=args.rate,
+        burst=args.burst,
         default_deadline=args.deadline,
         task_timeout=args.task_timeout,
     )
-    daemon.start()
-    # SIGTERM = graceful drain (the rolling-restart contract): stop
-    # accepting, settle in-flight jobs, flush the disk tier, exit.
-    previous = signal.signal(signal.SIGTERM, lambda *_: daemon.request_stop())
-    print("serving on %s" % daemon.address, flush=True)
-    try:
-        daemon.serve_forever()
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+
+    async def _serve() -> None:
+        await daemon.start()
+        print(
+            "serving on %s (%d shard(s) x %d worker(s), %s isolation)"
+            % (
+                daemon.address,
+                daemon.shards.count,
+                args.workers_per_shard,
+                daemon.isolation,
+            ),
+            flush=True,
+        )
+        await daemon.serve_forever()  # SIGTERM/SIGINT drain gracefully
+
+    asyncio.run(_serve())
     return 0
 
 
@@ -655,7 +630,6 @@ def cmd_submit(args) -> int:
             open(args.file).read(),
             proc=args.proc,
             wait=not args.no_wait,
-            priority=args.priority,
             domain=args.domain,
             observer=args.observer,
             threshold=args.threshold,
@@ -723,10 +697,10 @@ def cmd_status(args) -> int:
                 print("%s: %s" % (name, response[name]))
         return 0
     print(
-        "%s: %d worker(s), %s isolation, queue depth %d"
+        "%s: %d shard(s), %s isolation, queue depth %d"
         % (
             response["address"],
-            response["workers"],
+            response["shards"],
             response["isolation"],
             response["queue_depth"],
         )
@@ -1108,12 +1082,6 @@ def build_parser() -> argparse.ArgumentParser:
         "free port and prints it)" % DEFAULT_ADDRESS,
     )
     serve.add_argument(
-        "--workers",
-        type=count_arg("workers", allow_zero=False),
-        default=1,
-        help="concurrent analysis workers (must be >= 1)",
-    )
-    serve.add_argument(
         "--cache-dir",
         metavar="DIR",
         help="persistent result cache directory; verdicts and bound "
@@ -1123,14 +1091,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--isolation",
         default="thread",
         choices=["thread", "process"],
-        help="job isolation: threads (default) or a crash-isolated "
-        "process pool",
-    )
-    serve.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-run a failed job up to N times before failing it",
+        help="shard pools: threads (default) or crash-isolated "
+        "process pools",
     )
     serve.add_argument(
         "--deadline",
@@ -1142,46 +1104,39 @@ def build_parser() -> argparse.ArgumentParser:
         "--task-timeout",
         type=float,
         metavar="SECONDS",
-        help="hard per-job timeout under --isolation process",
-    )
-    serve.add_argument(
-        "--aio",
-        action="store_true",
-        help="run the asyncio sharded tier instead of the thread-per-"
-        "connection daemon: pipelined connections, admission control, "
-        "circuit-breaker shard quarantine, graceful SIGTERM drain",
+        help="hard per-job timeout: a job without a result in time "
+        "counts as a worker crash and is rerouted",
     )
     serve.add_argument(
         "--shards",
         type=count_arg("shards", allow_zero=False),
-        default=2,
-        help="worker shards under --aio (default: 2)",
+        default=1,
+        help="worker shards (default: 1)",
     )
     serve.add_argument(
         "--workers-per-shard",
         type=count_arg("workers-per-shard", allow_zero=False),
         default=1,
-        help="pool workers per shard under --aio (default: 1)",
+        help="pool workers per shard (default: 1)",
     )
     serve.add_argument(
         "--max-pending",
         type=int,
         default=256,
         help="unsettled-job ceiling before submissions are shed with "
-        "'overloaded' (--aio; default: 256)",
+        "'overloaded' (default: 256)",
     )
     serve.add_argument(
         "--shard-inflight",
         type=int,
         default=64,
-        help="per-shard unsettled-job bound (backpressure; --aio; "
-        "default: 64)",
+        help="per-shard unsettled-job bound (backpressure; default: 64)",
     )
     serve.add_argument(
         "--rate",
         type=float,
         metavar="PER_SECOND",
-        help="per-connection submission rate limit (--aio; token bucket)",
+        help="per-connection submission rate limit (token bucket)",
     )
     serve.add_argument(
         "--burst",
@@ -1277,9 +1232,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-wait",
         action="store_true",
         help="enqueue and return immediately instead of waiting for the verdict",
-    )
-    submit.add_argument(
-        "--priority", type=int, default=0, help="scheduling priority (higher first)"
     )
     submit.add_argument(
         "--timeout", type=float, metavar="SECONDS", help="socket timeout"

@@ -4,7 +4,7 @@ Three pillars (docs/OBSERVABILITY.md):
 
 * :mod:`repro.obs.trace` — ``span("checksafe", trail=...)`` context
   managers threaded through the driver, the bound analysis, the
-  fixpoint engine, the cache tiers, and the service, exported as JSONL;
+  fixpoint engine and the cache tiers, exported as JSONL;
 * :mod:`repro.obs.metrics` — counters / gauges / log-bucket histograms
   in one registry, with pull-time collectors over the pre-existing
   ``PerfStats`` / ``ServiceStats`` counters;

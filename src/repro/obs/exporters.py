@@ -11,8 +11,8 @@ Also here: the **pull-time collectors** that migrate the pre-existing
 stats objects onto the unified registry.  :func:`perf_stats_families`
 turns :data:`repro.perf.runtime.STATS` (cache hit/miss pairs and
 one-sided events) into counter families; the daemon registers its own
-equivalents for ``ServiceStats``, queue depth, and worker utilization
-(:mod:`repro.service.daemon`).  Collectors read shared counters that
+equivalents for ``ServiceStats``, queue depth, and shard states
+(:mod:`repro.service.aio`).  Collectors read shared counters that
 were going to be maintained anyway, so unification costs the hot paths
 nothing.
 """

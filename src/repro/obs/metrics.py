@@ -16,7 +16,7 @@ end.  Buckets are cumulative at exposition time (Prometheus semantics,
 :mod:`repro.obs.exporters`), but stored per-interval here.
 
 Sources that already count things — :class:`repro.perf.runtime.
-PerfStats`, the daemon's ``ServiceStats``, the job queue — are unified
+PerfStats`, the daemon's ``ServiceStats``, its shard states — are unified
 through **collectors**: a registered zero-argument callable returning
 ready-made :class:`Family` values at snapshot time.  This is how the
 pre-existing stats objects were migrated onto the registry without

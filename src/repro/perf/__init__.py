@@ -24,10 +24,8 @@ from repro.perf.fingerprint import (
 from repro.perf.cache import AnalysisCache
 from repro.perf.parallel import (
     default_jobs,
-    parallel_map,
     process_pool_usable,
     resolve_jobs,
-    thread_map,
     thread_map_chunked,
 )
 from repro.perf.pool import WarmPool, effective_workers, shared_pool
@@ -45,10 +43,8 @@ __all__ = [
     "trail_fingerprint",
     "AnalysisCache",
     "default_jobs",
-    "parallel_map",
     "process_pool_usable",
     "resolve_jobs",
-    "thread_map",
     "thread_map_chunked",
     "WarmPool",
     "effective_workers",

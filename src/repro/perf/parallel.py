@@ -17,16 +17,14 @@ Three backends behind one function, in degradation order:
 Results are always returned **in input order** regardless of backend or
 completion order, so callers stay deterministic.
 
-Two collection disciplines:
-
-* :func:`parallel_map` — fail-fast: the first exception propagates to
-  the caller (the pools re-raise on result collection).
-* :func:`try_map` — fault-isolating: each slot independently holds the
-  item's result *or* the exception it raised, worker crashes surface as
-  :class:`~repro.util.errors.WorkerCrashed` and per-task timeouts as
-  :class:`~repro.util.errors.ResourceExhausted`, so one bad task never
-  takes down the suite.  This is what the resilient benchmark runner
-  builds its retry logic on (docs/RESILIENCE.md).
+:func:`try_map` is fault-isolating: each slot independently holds the
+item's result *or* the exception it raised, worker crashes surface as
+:class:`~repro.util.errors.WorkerCrashed` and per-task timeouts as
+:class:`~repro.util.errors.ResourceExhausted`, so one bad task never
+takes down the suite.  This is what the resilient benchmark runner
+builds its retry logic on (docs/RESILIENCE.md).
+:func:`thread_map_chunked` is the driver's in-process, fail-fast leaf
+fan-out.
 """
 
 from __future__ import annotations
@@ -98,61 +96,19 @@ def process_pool_usable() -> bool:
     return usable
 
 
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    jobs: int = 1,
-    backend: str = "auto",
-) -> List[R]:
-    """Apply ``fn`` to every item, fanning out across ``jobs`` workers.
-
-    ``backend="auto"`` picks ``process`` when possible and degrades to
-    ``thread`` then ``serial``.  Exceptions raised by ``fn`` propagate
-    to the caller (the pools re-raise on result collection).
-    """
-    if backend not in BACKENDS:
-        raise ValueError("unknown backend %r (expected one of %s)" % (backend, BACKENDS))
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1 or backend == "serial":
-        return [fn(item) for item in items]
-    workers = min(jobs, len(items))
-    if backend in ("auto", "process") and process_pool_usable():
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items))
-        except (OSError, ValueError, ImportError):
-            if backend == "process":
-                raise
-            # auto: fall through to threads
-    if backend == "process":
-        # Explicit request but pools unusable: degrade loudly-but-soundly.
-        backend = "thread"
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def thread_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> List[R]:
-    """In-process fan-out (shared memory, shared caches); input order."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def thread_map_chunked(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: int,
     chunk_size: Optional[int] = None,
 ) -> List[R]:
-    """:func:`thread_map` with coarse work units: items are grouped into
-    chunks (~4 per worker) and each chunk runs serially inside one
-    thread task, so the per-item pool round-trip — future allocation,
-    queue hop, result box — is paid once per *chunk*.  That overhead is
-    pure loss for the driver's leaf fan-out, where one leaf's bound
-    computation is often microseconds against a warm cache.  Input
-    order; fail-fast like :func:`thread_map`.
+    """In-process fan-out (shared memory, shared caches) with coarse
+    work units: items are grouped into chunks (~4 per worker) and each
+    chunk runs serially inside one thread task, so the per-item pool
+    round-trip — future allocation, queue hop, result box — is paid
+    once per *chunk*.  That overhead is pure loss for the driver's leaf
+    fan-out, where one leaf's bound computation is often microseconds
+    against a warm cache.  Input order; the first exception propagates.
     """
     items = list(items)
     n = len(items)
@@ -186,9 +142,8 @@ def collect_outcome(
     :class:`WorkerCrashed`, timeout → :class:`ResourceExhausted` of kind
     ``"task_timeout"``) and ``timed_out`` says the worker never
     answered — its pool can only be abandoned, not joined.
-    ``KeyboardInterrupt`` propagates.  Shared by :func:`try_map` and the
-    analysis-service worker pool (docs/SERVICE.md), so one job's crash
-    is one job's failure everywhere.
+    ``KeyboardInterrupt`` propagates.  :func:`try_map` collects every
+    slot through it, so one task's crash is one task's failure.
     """
     try:
         return future.result(timeout=task_timeout), False
@@ -227,9 +182,11 @@ def try_map(
     task_timeout: Optional[float] = None,
     on_result: Optional[Callable[[int, Union[R, Exception]], None]] = None,
 ) -> List[Union[R, Exception]]:
-    """Like :func:`parallel_map`, but each slot holds the item's result
-    *or* the exception it raised — the suite-level primitive that makes
-    one crashing task a per-item outcome instead of a run-wide abort.
+    """Apply ``fn`` to every item across ``jobs`` workers; each slot
+    holds the item's result *or* the exception it raised — the
+    suite-level primitive that makes one crashing task a per-item
+    outcome instead of a run-wide abort.  ``backend="auto"`` picks
+    ``process`` when possible and degrades to ``thread``.
 
     Failure mapping (always in input order):
 

@@ -1,13 +1,12 @@
 """Bounded retry-with-backoff policy for failed suite tasks.
 
-The policy is data, not control flow: callers (the suite runner, the
-analysis-service worker pool) ask it how long to sleep before attempt
-*k* and whether another attempt is allowed.  ``sleep`` is injectable so
+The policy is data, not control flow: callers (the suite runner and
+the campaign drivers) ask it how long to sleep before attempt *k* and
+whether another attempt is allowed.  ``sleep`` is injectable so
 tests exercise the backoff schedule without waiting it out.
 
-:func:`run_with_retries` is the shared control-flow half: the serial
-re-run loop the benchmark runner used to own, extracted so the service
-daemon's workers retry crashed jobs through exactly the same machinery.
+:func:`run_with_retries` is the control-flow half: the serial re-run
+loop of the benchmark runner.
 """
 
 from __future__ import annotations

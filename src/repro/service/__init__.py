@@ -2,39 +2,31 @@
 pipeline across requests (docs/SERVICE.md).
 
 One-shot ``repro analyze`` pays full process startup and a cold cache
-per query.  The service keeps the expensive pieces resident: a
-:class:`~repro.service.daemon.AnalysisDaemon` owns a prioritized
-:class:`~repro.service.jobs.JobQueue` (identical in-flight submissions
-coalesce onto one job, keyed by content fingerprints), a crash-isolated
-worker pool, and a persistent disk-backed result store shared across
-restarts and worker processes.  Clients speak a newline-delimited-JSON
-protocol over a Unix or TCP socket via
-:class:`~repro.service.client.ServiceClient`, or from the shell with
-``repro serve`` / ``repro submit`` / ``repro status``.
-
-For high-concurrency deployments the asyncio tier
-(:class:`~repro.service.aio.AsyncAnalysisDaemon`, ``repro serve
---aio``) puts one event loop in front of N breaker-guarded worker
-shards (:mod:`repro.service.shard`) with admission control
-(:mod:`repro.service.admission`), pipelined connections
-(:class:`~repro.service.aioclient.AsyncServiceClient`), and graceful
-SIGTERM drain — same wire protocol, same results.
+per query.  The service keeps the expensive pieces resident:
+:class:`~repro.service.aio.AsyncAnalysisDaemon` (``repro serve``) puts
+one event loop in front of N breaker-guarded worker shards
+(:mod:`repro.service.shard`) with admission control
+(:mod:`repro.service.admission`), coalesces identical in-flight
+submissions onto one job by content fingerprint
+(:func:`~repro.service.jobs.job_key`), and keeps a persistent
+disk-backed result store shared across restarts and worker processes.
+Clients speak a newline-delimited-JSON protocol over a Unix or TCP
+socket via :class:`~repro.service.client.ServiceClient` or the
+pipelining :class:`~repro.service.aioclient.AsyncServiceClient`, or
+from the shell with ``repro serve`` / ``repro submit`` /
+``repro status``.  SIGTERM drains gracefully.
 """
 
 from repro.service.admission import AdmissionController, TokenBucket
 from repro.service.client import ServiceClient
-from repro.service.daemon import AnalysisDaemon
-from repro.service.jobs import Job, JobQueue, job_key
+from repro.service.jobs import job_key
 from repro.service.store import ResultStore
 
 __all__ = [
     "AdmissionController",
-    "AnalysisDaemon",
     "AsyncAnalysisDaemon",
     "AsyncServiceClient",
     "ServiceClient",
-    "Job",
-    "JobQueue",
     "TokenBucket",
     "job_key",
     "ResultStore",

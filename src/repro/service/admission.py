@@ -35,8 +35,8 @@ class TokenBucket:
 
     ``try_acquire`` either takes a token (returns 0.0) or returns the
     seconds until one will be available — the ``retry_after`` the
-    protocol hands back.  Thread-safe so the sync daemon's per-connection
-    handler threads can share buckets with the asyncio tier's loop.
+    protocol hands back.  Thread-safe, so a bucket can be shared
+    across threads as well as used from the daemon's event loop.
     """
 
     def __init__(

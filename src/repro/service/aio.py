@@ -1,18 +1,17 @@
-"""The asyncio service tier: one event loop in front of sharded pools.
+"""The analysis service: one event loop in front of sharded pools.
 
-The thread-per-connection daemon (:mod:`repro.service.daemon`) is the
-right shape for tens of clients; at a thousand it pays a thread stack
-and a scheduler seat per connection.  This tier replaces the front end
-with one event loop::
+``repro serve`` boots :class:`AsyncAnalysisDaemon`::
 
     asyncio server ──▶ per-connection reader ──▶ admission gates
                                                    │ admitted
     ResultStore (memory ▸ disk) ◀── settle ◀── shard pools (N × workers)
 
-and keeps everything behind the socket byte-compatible: same NDJSON
-protocol, same verbs, same result dicts, same fingerprint coalescing —
-a blocking :class:`~repro.service.client.ServiceClient` cannot tell the
-tiers apart.  What changes is scale and failure behavior:
+Clients speak the NDJSON protocol of :mod:`repro.service.protocol`;
+identical in-flight submissions coalesce onto one job by content
+fingerprint (:func:`repro.service.jobs.job_key`), and a blocking
+:class:`~repro.service.client.ServiceClient` works as well as the
+pipelining :class:`~repro.service.aioclient.AsyncServiceClient`.  The
+failure behavior:
 
 * **Pipelining.**  Requests carrying an ``id`` are handled concurrently
   and answered out of order (the response echoes the id); requests
@@ -32,7 +31,8 @@ tiers apart.  What changes is scale and failure behavior:
   circuit breaker (:mod:`repro.service.shard`); a tripped shard's
   fingerprint range reroutes to its neighbors while the pool rebuilds in
   a background task, and crashed jobs are re-run on a healthy shard —
-  a crash costs latency, never a lost job.
+  a crash costs latency, never a lost job.  A job that *raises* fails
+  once and is not cached, so a resubmission runs it fresh.
 * **Graceful drain.**  SIGTERM (or the ``drain``/``shutdown`` verbs)
   stops accepting, lets in-flight jobs settle, flushes the responses and
   the disk tier, then exits — the rolling-restart contract
@@ -46,6 +46,7 @@ import json
 import logging
 import os
 import signal
+import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
@@ -56,12 +57,6 @@ from repro.obs import exporters as obs_exporters
 from repro.obs.metrics import Family, MetricsRegistry, REGISTRY as GLOBAL_REGISTRY
 from repro.service import protocol
 from repro.service.admission import AdmissionController, TokenBucket
-from repro.service.daemon import (
-    BOUNDS_FILE,
-    PROMETHEUS_CONTENT_TYPE,
-    VERDICTS_FILE,
-    ServiceStats,
-)
 from repro.service.jobs import SETTLED_RETENTION, fingerprint_job, intake_payload
 from repro.service.shard import Shard, ShardManager
 from repro.service.store import ResultStore
@@ -85,6 +80,53 @@ DRAIN_TIMEOUT = 30.0
 # (compile + hash) into a dict hit.
 FINGERPRINT_CACHE = 512
 
+# The persistent tiers under ``cache_dir`` (docs/SERVICE.md).
+VERDICTS_FILE = "verdicts.jsonl"
+BOUNDS_FILE = "bounds.jsonl"
+
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+class ServiceStats:
+    """Monotonic daemon counters (one lock, snapshot on read)."""
+
+    FIELDS = (
+        "submitted",
+        "coalesced",
+        "hits_memory",
+        "hits_disk",
+        "executed",
+        "completed",
+        "failed",
+        "degraded",
+        "retried",
+        "rejected",
+        "connections",
+    )
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counts = {name: 0 for name in self.FIELDS}
+        # Monotonic, like every other duration in the codebase: uptime
+        # must not jump when the wall clock is stepped by NTP.
+        self.started_at = time.monotonic()
+
+    @property
+    def uptime_seconds(self) -> float:
+        return time.monotonic() - self.started_at
+
+    def bump(self, name: str, n: int = 1) -> None:
+        with self._lock:
+            self._counts[name] += n
+
+    def __getitem__(self, name: str) -> int:
+        with self._lock:
+            return self._counts[name]
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counts)
+
 
 @dataclass
 class AsyncJob:
@@ -93,7 +135,6 @@ class AsyncJob:
     id: str
     key: str
     payload: Dict[str, Any]
-    priority: int = 0
     shard: Optional[int] = None
     state: str = "queued"
     submitted_at: float = field(default_factory=time.time)
@@ -114,7 +155,6 @@ class AsyncJob:
             "job": self.id,
             "key": self.key,
             "state": self.state,
-            "priority": self.priority,
             "proc": self.payload.get("proc"),
             "waiters": self.waiters,
             "attempts": self.attempts,
@@ -153,7 +193,6 @@ class AsyncAnalysisDaemon:
         burst: Optional[float] = None,
         default_deadline: Optional[float] = None,
         task_timeout: Optional[float] = None,
-        default_priority: int = 0,
         crash_retries: Optional[int] = None,
         drain_timeout: float = DRAIN_TIMEOUT,
     ):
@@ -161,7 +200,6 @@ class AsyncAnalysisDaemon:
         self._bound_address: Optional[protocol.Address] = None
         self._default_deadline = default_deadline
         self._task_timeout = task_timeout
-        self._default_priority = default_priority
         self._drain_timeout = drain_timeout
         self._rate = rate
         self._burst = burst
@@ -300,10 +338,9 @@ class AsyncAnalysisDaemon:
             await self.stop()
 
     async def stop(self, drain_timeout: Optional[float] = None) -> None:
-        """Graceful drain, same order as the sync tier: close the
-        listener first, settle in-flight jobs (bounded by
-        ``drain_timeout``), flush responses and the disk tier, then tear
-        the shards down."""
+        """Graceful drain: close the listener first, settle in-flight
+        jobs (bounded by ``drain_timeout``), flush responses and the
+        disk tier, then tear the shards down."""
         if self._stopped:
             return
         self._draining = True
@@ -584,7 +621,6 @@ class AsyncAnalysisDaemon:
                 id="ajob-%d" % self._seq,
                 key=key,
                 payload=payload,
-                priority=int(message.get("priority", self._default_priority)),
                 shard=shard.index,
             )
             self._active[key] = job
@@ -895,8 +931,3 @@ class AsyncAnalysisDaemon:
             text=obs_exporters.prometheus_text(*registries),
         )
 
-
-def run_daemon(daemon: AsyncAnalysisDaemon) -> None:
-    """Blocking entry point: run ``daemon`` until stop (``repro serve
-    --aio`` and tests that want a daemon in a thread)."""
-    asyncio.run(daemon.serve_forever())

@@ -235,7 +235,6 @@ class AsyncServiceClient:
         source: str,
         proc: Optional[str] = None,
         wait: bool = True,
-        priority: int = 0,
         wait_timeout: Optional[float] = None,
         **knobs: Any,
     ) -> Dict[str, Any]:
@@ -243,7 +242,6 @@ class AsyncServiceClient:
             "op": "submit",
             "source": source,
             "wait": wait,
-            "priority": priority,
         }
         if proc is not None:
             message["proc"] = proc

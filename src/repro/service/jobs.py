@@ -1,4 +1,4 @@
-"""Jobs, request fingerprints, and the coalescing priority queue.
+"""Request intake and fingerprints.
 
 A *job* is one analysis request in flight.  Its identity for
 deduplication is :func:`job_key` — a content fingerprint, not the raw
@@ -14,27 +14,15 @@ execution.  The configuration knobs that can change the outcome
 (domain, observer, bit width, budget limits —
 :data:`repro.core.blazer.JOB_FIELDS`) are hashed alongside, so a
 5-second-deadline request never collides with an unbudgeted one.
-
-:class:`JobQueue` is the scheduler's heart: a priority heap (higher
-``priority`` first, FIFO within a priority) under one condition
-variable.  ``submit`` returns an existing queued/running job when the
-key matches — *coalescing*: the duplicate submission costs a dict
-lookup, both waiters get the same result object, and the daemon counts
-it.  Completed jobs leave the active index, so a resubmission after
-completion is answered by the result store tiers instead
-(:mod:`repro.service.store`).
+The daemon (:mod:`repro.service.aio`) coalesces submissions whose keys
+match onto one in-flight job.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
-import threading
-import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, Deque, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.blazer import JOB_FIELDS, resolve_proc
 from repro.core.pdsc import PDSC_JOB_FIELDS
@@ -52,9 +40,6 @@ KIND_FIELDS = {
     "leakage": LEAKAGE_JOB_FIELDS,
 }
 
-# Job lifecycle: queued → running → done | failed.
-STATES = ("queued", "running", "done", "failed")
-
 # Settled jobs kept around for `status`/`result` lookups.  A resident
 # daemon must not grow with its lifetime submission count: beyond this
 # many settled jobs the oldest are evicted (their results live on in the
@@ -70,9 +55,8 @@ def job_key(payload: Dict[str, Any]) -> str:
 def intake_payload(message: Dict[str, Any]) -> Dict[str, Any]:
     """Copy the job-defining fields of a wire ``submit`` message into a
     fresh payload: ``source``/``proc``/``kind`` plus the knob set of
-    the declared kind.  This is the single definition both front ends
-    (sync daemon and asyncio tier) use, so a ``kind: "pdsc"`` request
-    keeps its kind-specific knobs (``epsilon``, ...) on the way in.
+    the declared kind, so a ``kind: "pdsc"`` request keeps its
+    kind-specific knobs (``epsilon``, ...) on the way in.
     Unknown kinds keep only the core fields and are rejected with the
     canonical error by :func:`fingerprint_job`.
     """
@@ -132,193 +116,3 @@ def fingerprint_job(payload: Dict[str, Any]) -> Tuple[str, str]:
     h.update(json.dumps(knobs, sort_keys=True, separators=(",", ":")).encode("utf-8"))
     return h.hexdigest(), proc
 
-
-@dataclass
-class Job:
-    """One submission's lifecycle record."""
-
-    id: str
-    key: str
-    payload: Dict[str, Any]
-    priority: int = 0
-    deadline: Optional[float] = None  # per-job wall-clock Budget seconds
-    state: str = "queued"
-    submitted_at: float = field(default_factory=time.time)
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    result: Optional[Dict[str, Any]] = None
-    error: Optional[str] = None
-    attempts: int = 0  # execution attempts consumed (1 = no retries)
-    waiters: int = 1  # submissions coalesced onto this job
-    done: threading.Event = field(default_factory=threading.Event, repr=False)
-
-    @property
-    def settled(self) -> bool:
-        return self.state in ("done", "failed")
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The JSON-safe view the ``status`` verb returns."""
-        out: Dict[str, Any] = {
-            "job": self.id,
-            "key": self.key,
-            "state": self.state,
-            "priority": self.priority,
-            "proc": self.payload.get("proc"),
-            "waiters": self.waiters,
-            "attempts": self.attempts,
-            "submitted_at": round(self.submitted_at, 6),
-        }
-        if self.deadline is not None:
-            out["deadline"] = self.deadline
-        if self.started_at is not None:
-            out["started_at"] = round(self.started_at, 6)
-        if self.finished_at is not None:
-            out["finished_at"] = round(self.finished_at, 6)
-        if self.error is not None:
-            out["error"] = self.error
-        return out
-
-
-class JobQueue:
-    """Priority queue of jobs with in-flight deduplication.
-
-    Thread-safe; one lock + condition covers the heap and the indexes.
-    ``submit`` coalesces onto an *active* (queued or running) job with
-    the same key; settled jobs never absorb new submissions — result
-    reuse after completion is the store's business, not the queue's.
-
-    Settled jobs are retained for ``max_settled`` lookups and then
-    evicted oldest-first, so the queue's footprint is bounded by the
-    *concurrent* load, not the lifetime submission count.  Eviction only
-    drops the queue's own reference: handlers still blocked on an
-    evicted job's ``done`` event hold the object alive themselves.
-    """
-
-    def __init__(self, max_settled: int = SETTLED_RETENTION):
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._heap: List[Tuple[int, int, str]] = []  # (-priority, seq, job id)
-        self._seq = 0
-        self._jobs: Dict[str, Job] = {}
-        self._active: Dict[str, Job] = {}  # key → queued/running job
-        self._settled: Deque[str] = deque()  # settled job ids, oldest first
-        self._max_settled = max(1, max_settled)
-        self._closed = False
-        self.coalesced = 0
-
-    def submit(
-        self,
-        payload: Dict[str, Any],
-        key: str,
-        priority: int = 0,
-        deadline: Optional[float] = None,
-    ) -> Tuple[Job, bool]:
-        """Enqueue a job (or coalesce).  Returns ``(job, coalesced)``."""
-        with self._cond:
-            if self._closed:
-                raise ReproError("job queue is closed")
-            existing = self._active.get(key)
-            if existing is not None:
-                existing.waiters += 1
-                self.coalesced += 1
-                return existing, True
-            self._seq += 1
-            job = Job(
-                id="job-%d" % self._seq,
-                key=key,
-                payload=payload,
-                priority=priority,
-                deadline=deadline,
-            )
-            self._jobs[job.id] = job
-            self._active[key] = job
-            heapq.heappush(self._heap, (-priority, self._seq, job.id))
-            self._cond.notify()
-            return job, False
-
-    def pop(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """The highest-priority queued job, marked running; None on
-        timeout or when the queue has been closed and drained."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while not self._heap:
-                if self._closed:
-                    return None
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                self._cond.wait(remaining)
-            _, _, job_id = heapq.heappop(self._heap)
-            job = self._jobs[job_id]
-            job.state = "running"
-            job.started_at = time.time()
-            return job
-
-    def finish(
-        self,
-        job: Job,
-        result: Optional[Dict[str, Any]] = None,
-        error: Optional[str] = None,
-    ) -> None:
-        """Settle a job: exactly one of ``result`` / ``error``."""
-        with self._cond:
-            job.result = result
-            job.error = error
-            job.state = "failed" if error is not None else "done"
-            job.finished_at = time.time()
-            if self._active.get(job.key) is job:
-                del self._active[job.key]
-            if job.id in self._jobs:
-                self._settled.append(job.id)
-            while len(self._settled) > self._max_settled:
-                self._jobs.pop(self._settled.popleft(), None)
-            # Wake wait_idle: a drain is watching the active index empty.
-            self._cond.notify_all()
-        job.done.set()
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until every submitted job has settled (the active index
-        is empty).  This is the drain primitive: ``close()`` stops new
-        submissions, the workers keep popping until the heap is empty,
-        and ``wait_idle`` tells the caller when the last in-flight job
-        has been settled — *then* it is safe to tear the daemon down.
-
-        Returns False if ``timeout`` elapsed with work still in flight.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._active:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._cond.wait(remaining)
-            return True
-
-    def pending(self) -> int:
-        """Unsettled jobs (queued *and* running) — the admission-control
-        load signal, as opposed to :meth:`depth` (queued only)."""
-        with self._lock:
-            return len(self._active)
-
-    def get(self, job_id: str) -> Optional[Job]:
-        with self._lock:
-            return self._jobs.get(job_id)
-
-    def jobs(self) -> List[Job]:
-        with self._lock:
-            return list(self._jobs.values())
-
-    def depth(self) -> int:
-        """Queued (not yet running) jobs."""
-        with self._lock:
-            return len(self._heap)
-
-    def close(self) -> None:
-        """Stop accepting submissions and wake every blocked ``pop``."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()

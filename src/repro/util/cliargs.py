@@ -1,7 +1,7 @@
 """Shared ``argparse`` value parsers.
 
 Flags that mean "how many workers" appear on several subcommands
-(``table1 --jobs``, ``serve --workers``) and must reject garbage the
+(``table1 --jobs``, ``serve --workers-per-shard``) and must reject garbage the
 same way everywhere.  :func:`count_arg` builds the ``type=`` callable
 once, parameterized by what is being counted and whether zero (meaning
 "one per CPU", :func:`repro.perf.parallel.resolve_jobs`) is allowed.

@@ -1,17 +1,18 @@
 """The daemon's ``metrics`` verb end to end (``make smoke-metrics``).
 
-Boots the real socket server in-process, pushes a job through it, and
+Boots the real asyncio daemon in-process, pushes a job through it, and
 scrapes the merged registries over the wire: Prometheus text must carry
-the service counters, queue/worker gauges, job-latency histogram, and
+the service counters, queue/shard gauges, job-latency histogram, and
 the perf layer's cache hit/miss counters.
 """
 
 import pytest
 
-from repro.service import AnalysisDaemon, ServiceClient
-from repro.service.daemon import PROMETHEUS_CONTENT_TYPE
-from repro.service.protocol import unix_supported
+from repro.service import ServiceClient
+from repro.service.aio import PROMETHEUS_CONTENT_TYPE
 from repro.util.errors import ServiceError
+
+from tests.service.conftest import ThreadedDaemon, service_address
 
 pytestmark = pytest.mark.obs
 
@@ -24,15 +25,9 @@ proc check(secret pin: int, public attempts: uint): int {
 """
 
 
-def _address(tmp_path):
-    if unix_supported():
-        return "unix:%s" % (tmp_path / "svc.sock")
-    return "tcp:127.0.0.1:0"  # pragma: no cover - non-POSIX
-
-
 @pytest.fixture
 def daemon(tmp_path):
-    d = AnalysisDaemon(_address(tmp_path), workers=1).start()
+    d = ThreadedDaemon(service_address(tmp_path))
     yield d
     d.stop()
 
@@ -49,15 +44,14 @@ class TestMetricsVerb:
         assert '# TYPE repro_service_events_total counter' in text
         assert 'repro_service_events_total{event="submitted"} 1' in text
         assert 'repro_service_events_total{event="completed"} 1' in text
-        # Queue / pool gauges:
+        # Queue / shard gauges:
         assert "repro_service_queue_depth 0" in text
-        assert "repro_service_workers 1" in text
+        assert 'repro_service_shards{shard="0",state="closed"} 1' in text
         assert "# TYPE repro_service_uptime_seconds gauge" in text
-        # Native daemon families (latency histogram, utilization):
+        # Native daemon families (latency histograms):
         assert '# TYPE repro_service_job_seconds histogram' in text
         assert 'repro_service_job_seconds_bucket{outcome="completed",le="+Inf"} 1' in text
         assert 'repro_service_job_seconds_count{outcome="completed"} 1' in text
-        assert "repro_service_busy_workers 0" in text
         # The perf layer's cache counters ride the same scrape:
         assert "# TYPE repro_cache_requests_total counter" in text
 

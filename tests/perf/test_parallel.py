@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf.parallel import parallel_map, resolve_jobs, thread_map, try_map
+from repro.perf.parallel import resolve_jobs, try_map
 from repro.util.errors import ResourceExhausted
 
 
@@ -47,7 +47,7 @@ class TestTryMap:
         assert [x for x in out if not isinstance(x, Exception)] == [0, 1, 4, 16, 25]
         assert isinstance(out[3], RuntimeError)
 
-    def test_all_succeed_matches_parallel_map(self):
+    def test_all_succeed_matches_a_serial_map(self):
         items = list(range(8))
         assert try_map(_square, items, jobs=3, backend="thread") == [
             x * x for x in items
@@ -80,28 +80,3 @@ class TestTryMap:
         with pytest.raises(ValueError):
             try_map(_square, [1], jobs=2, backend="bogus")
 
-
-class TestParallelMap:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "auto"])
-    def test_backends_agree_in_order(self, backend):
-        items = list(range(8))
-        assert parallel_map(_square, items, jobs=3, backend=backend) == [
-            x * x for x in items
-        ]
-
-    def test_jobs_one_is_serial(self):
-        assert parallel_map(_square, [1, 2, 3], jobs=1, backend="process") == [1, 4, 9]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(_square, [1], jobs=2, backend="bogus")
-
-    def test_exceptions_propagate(self):
-        def boom(x):
-            raise RuntimeError("x=%d" % x)
-
-        with pytest.raises(RuntimeError):
-            parallel_map(boom, [1, 2], jobs=2, backend="thread")
-
-    def test_thread_map_order(self):
-        assert thread_map(_square, range(10), jobs=4) == [x * x for x in range(10)]

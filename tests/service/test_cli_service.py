@@ -5,6 +5,7 @@ verdict comes from a one-shot ``analyze`` or from ``submit`` against a
 daemon: 0 safe, 2 attack, 4 degraded, 130 interrupted.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from repro.cli import EXIT_USAGE, build_parser, main
 from repro.perf import runtime
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, parse_spec
-from repro.service import AnalysisDaemon, ServiceClient
+from repro.service import ServiceClient
 from repro.service.client import wait_for_service
 from repro.service.protocol import unix_supported
 
@@ -56,15 +57,8 @@ def sources(tmp_path):
 
 
 @pytest.fixture
-def daemon(tmp_path):
-    address = (
-        "unix:%s" % (tmp_path / "svc.sock")
-        if unix_supported()
-        else "tcp:127.0.0.1:0"
-    )
-    d = AnalysisDaemon(address, workers=1).start()
-    yield d
-    d.stop()
+def daemon(threaded_daemon):
+    return threaded_daemon()
 
 
 class TestVersionAndUsage:
@@ -82,9 +76,9 @@ class TestVersionAndUsage:
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
     def test_serve_rejects_bad_worker_counts(self, value, capsys):
         with pytest.raises(SystemExit) as info:
-            build_parser().parse_args(["serve", "--workers", value])
+            build_parser().parse_args(["serve", "--workers-per-shard", value])
         assert info.value.code == 2
-        assert "workers must be" in capsys.readouterr().err
+        assert "workers-per-shard must be" in capsys.readouterr().err
 
     def test_table1_jobs_still_allows_zero(self):
         args = build_parser().parse_args(["table1", "--jobs", "0"])
@@ -149,21 +143,27 @@ class TestExitCodeContract:
         assert "failed" in capsys.readouterr().err
 
 
+def _submit_job_id(sources, daemon, capsys):
+    """Submit the safe source through the CLI; the job id it got."""
+    argv = ["submit", sources["safe"], "--connect", daemon.address, "--json"]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)["job"]
+
+
 class TestStatusCommand:
     def test_overview_and_stats(self, sources, daemon, capsys):
-        assert main(["submit", sources["safe"], "--connect", daemon.address]) == 0
-        capsys.readouterr()
+        job = _submit_job_id(sources, daemon, capsys)
         assert main(["status", "--connect", daemon.address]) == 0
         out = capsys.readouterr().out
-        assert "1 worker(s)" in out and "job-1 done" in out
+        assert "1 shard(s), thread isolation, queue depth 0" in out
+        assert "%s done" % job in out
         assert main(["status", "--connect", daemon.address, "--stats"]) == 0
         assert "executed: 1" in capsys.readouterr().out
 
     def test_single_job_and_json(self, sources, daemon, capsys):
-        main(["submit", sources["safe"], "--connect", daemon.address])
-        capsys.readouterr()
-        assert main(["status", "--connect", daemon.address, "--job", "job-1"]) == 0
-        assert capsys.readouterr().out.startswith("job-1 done")
+        job = _submit_job_id(sources, daemon, capsys)
+        assert main(["status", "--connect", daemon.address, "--job", job]) == 0
+        assert capsys.readouterr().out.startswith("%s done" % job)
         assert main(["status", "--connect", daemon.address, "--json"]) == 0
         assert '"ok": true' in capsys.readouterr().out
 
@@ -198,7 +198,7 @@ class TestServiceSmoke:
                 "repro.cli",
                 "serve",
                 address,
-                "--workers",
+                "--workers-per-shard",
                 "2",
                 "--cache-dir",
                 str(tmp_path / "cache"),

@@ -1,21 +1,24 @@
-"""The daemon end to end: coalescing, persistence, crash isolation.
+"""The daemon end to end through the blocking client: coalescing,
+persistence, crash isolation.
 
-These run the real socket server in-process (daemon threads) against
-real Blazer analyses of tiny programs, so they exercise the acceptance
-path of docs/SERVICE.md: one execution for concurrent identical
-submissions, disk-tier hits across restarts, and injected worker faults
-failing exactly one job.
+These run the real asyncio daemon in-process (on a background event
+loop, ``tests/service/conftest.py``) against real Blazer analyses of
+tiny programs, so they exercise the acceptance path of
+docs/SERVICE.md: one execution for concurrent identical submissions,
+disk-tier hits across restarts, and injected worker faults failing
+exactly one job.
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, parse_spec
-from repro.service import AnalysisDaemon, ServiceClient
-from repro.service.protocol import unix_supported
-from repro.service.store import ResultStore, cacheable
+from repro.service import ServiceClient
+
+from tests.service.conftest import ThreadedDaemon
 
 SAFE_SRC = """
 proc check(secret pin: int, public attempts: uint): int {
@@ -47,40 +50,34 @@ def _no_leaked_plan():
     faults.clear()
 
 
-def _address(tmp_path):
-    if unix_supported():
-        return "unix:%s" % (tmp_path / "svc.sock")
-    return "tcp:127.0.0.1:0"  # pragma: no cover - non-POSIX
-
-
 @pytest.fixture
-def daemon(tmp_path):
-    started = []
+def daemon(threaded_daemon):
+    return threaded_daemon
 
-    def boot(**kwargs):
-        d = AnalysisDaemon(_address(tmp_path), **kwargs).start()
-        started.append(d)
-        return d
 
-    yield boot
-    for d in started:
-        d.stop()
+def _wait_for_recovery(client, timeout=60.0):
+    """Block until the one shard's breaker admits work again (the
+    rebuild finished and half-opened it)."""
+    deadline = time.monotonic() + timeout
+    while client.health()["shards"][0]["state"] == "open":
+        assert time.monotonic() < deadline, "shard never left quarantine"
+        time.sleep(0.05)
 
 
 class TestBasics:
     def test_ping_status_stats(self, daemon):
-        d = daemon(workers=1)
+        d = daemon()
         with ServiceClient(d.address) as client:
             assert client.ping()["ok"]
             status = client.status()
-            assert status["workers"] == 1
+            assert status["shards"] == 1
             assert status["queue_depth"] == 0
             stats = client.stats()
             assert stats["submitted"] == 0
             assert stats["uptime_seconds"] >= 0
 
     def test_submit_and_result_verbs(self, daemon):
-        d = daemon(workers=1)
+        d = daemon()
         with ServiceClient(d.address) as client:
             reply = client.submit(SAFE_SRC, wait=True)
             assert reply["state"] == "done"
@@ -89,7 +86,7 @@ class TestBasics:
             assert again["result"]["digest"] == reply["result"]["digest"]
 
     def test_memory_hit_on_resubmission(self, daemon):
-        d = daemon(workers=1)
+        d = daemon()
         with ServiceClient(d.address) as client:
             first = client.submit(SAFE_SRC, wait=True)
             second = client.submit(SAFE_SRC, wait=True)
@@ -98,21 +95,21 @@ class TestBasics:
             assert client.stats()["executed"] == 1
 
     def test_bad_program_rejected_at_submit(self, daemon):
-        d = daemon(workers=1)
+        d = daemon()
         with ServiceClient(d.address) as client:
             response = client.request({"op": "submit", "source": "proc oops("})
             assert response["ok"] is False
             assert client.stats()["executed"] == 0
 
     def test_unknown_op_rejected(self, daemon):
-        d = daemon(workers=1)
+        d = daemon()
         with ServiceClient(d.address) as client:
             response = client.request({"op": "frobnicate"})
             assert response["ok"] is False
             assert "unknown op" in response["error"]
 
     def test_tcp_address_reports_bound_port(self):
-        d = AnalysisDaemon("tcp:127.0.0.1:0", workers=1).start()
+        d = ThreadedDaemon("tcp:127.0.0.1:0")
         try:
             assert not d.address.endswith(":0")
             with ServiceClient(d.address) as client:
@@ -125,7 +122,7 @@ class TestCoalescing:
     def test_concurrent_identical_submissions_run_once(self, daemon):
         """Acceptance: two concurrent identical submissions → exactly one
         Blazer execution, digest-identical verdicts for both."""
-        d = daemon(workers=1)
+        d = daemon()
         # Pin the single worker on a filler job long enough for both
         # real submissions to be in flight together.
         faults.install(FaultPlan([parse_spec("worker.run:delay=0.8:match=filler")]))
@@ -153,7 +150,7 @@ class TestCoalescing:
         assert stats["coalesced"] == 1
 
     def test_coalesced_job_counts_waiters(self, daemon):
-        d = daemon(workers=1)
+        d = daemon()
         faults.install(FaultPlan([parse_spec("worker.run:delay=0.8:match=filler")]))
         with ServiceClient(d.address) as client:
             client.submit(FILLER_SRC, wait=False)
@@ -171,13 +168,13 @@ class TestPersistence:
         """Acceptance: after a daemon restart, resubmission is served
         from the persistent cache tier with zero executions."""
         cache_dir = str(tmp_path / "cache")
-        d1 = daemon(workers=1, cache_dir=cache_dir)
+        d1 = daemon(cache_dir=cache_dir)
         with ServiceClient(d1.address) as client:
             first = client.submit(SAFE_SRC, wait=True)
             assert first["state"] == "done"
         d1.stop()
 
-        d2 = daemon(workers=1, cache_dir=cache_dir)
+        d2 = daemon(cache_dir=cache_dir)
         with ServiceClient(d2.address) as client:
             second = client.submit(SAFE_SRC, wait=True)
             assert second["cached"] == "disk"
@@ -187,7 +184,7 @@ class TestPersistence:
             assert stats["hits_disk"] == 1
 
     def test_degraded_results_are_not_cached(self, daemon, tmp_path):
-        d = daemon(workers=1, cache_dir=str(tmp_path / "cache"))
+        d = daemon(cache_dir=str(tmp_path / "cache"))
         with ServiceClient(d.address) as client:
             first = client.submit(SAFE_SRC, wait=True, max_steps=1)
             assert first["result"]["degraded"] is True
@@ -200,7 +197,7 @@ class TestCrashIsolation:
     def test_injected_fault_fails_only_that_job(self, daemon):
         """Acceptance: a worker.run fault fails the affected job while
         the daemon keeps serving everything else."""
-        d = daemon(workers=1)
+        d = daemon()
         faults.install(FaultPlan([parse_spec("worker.run:error:match=boom")]))
         with ServiceClient(d.address) as client:
             doomed = client.submit(BOOM_SRC, wait=True)
@@ -214,7 +211,7 @@ class TestCrashIsolation:
             assert client.ping()["ok"]
 
     def test_failed_jobs_are_not_cached(self, daemon):
-        d = daemon(workers=1)
+        d = daemon()
         faults.install(FaultPlan([parse_spec("worker.run:error:once:match=boom")]))
         with ServiceClient(d.address) as client:
             assert client.submit(BOOM_SRC, wait=True)["state"] == "failed"
@@ -224,63 +221,79 @@ class TestCrashIsolation:
             assert retry["state"] == "done"
             assert retry.get("cached") is None
 
-    def test_retry_policy_heals_transient_faults(self, daemon):
-        d = daemon(workers=1, retries=1)
+    def test_transient_fault_heals_on_resubmission(self, daemon):
+        """A job that raises fails once — the daemon does not re-run
+        it; the client's resubmission runs fresh and succeeds."""
+        d = daemon()
         faults.install(FaultPlan([parse_spec("worker.run:error:once:match=boom")]))
         with ServiceClient(d.address) as client:
-            reply = client.submit(BOOM_SRC, wait=True)
-            assert reply["state"] == "done"
-            assert reply["attempts"] == 2
-            assert client.stats()["retried"] == 1
+            first = client.submit(BOOM_SRC, wait=True)
+            assert first["state"] == "failed"
+            assert first["attempts"] == 1
+            again = client.submit(BOOM_SRC, wait=True)
+            assert again["state"] == "done"
+            assert again["job"] != first["job"]
+            stats = client.stats()
+            assert stats["executed"] == 2
+            assert stats["retried"] == 0
 
     def test_process_isolation_survives_real_worker_crash(
         self, daemon, monkeypatch
     ):
         """Acceptance, the hard way: REPRO_FAULTS worker.run:crash makes
         the pool worker ``os._exit`` mid-job.  The job fails as a
-        WorkerCrashed, the pool is rebuilt, the daemon keeps serving."""
+        WorkerCrashed, the shard's pool is rebuilt, the daemon keeps
+        serving."""
         from repro.perf.parallel import process_pool_usable
 
         if not process_pool_usable():
             pytest.skip("process pools unusable on this platform")
         monkeypatch.setenv("REPRO_FAULTS", "worker.run:crash:match=boom")
-        d = daemon(workers=1, isolation="process")
+        d = daemon(isolation="process")
         with ServiceClient(d.address) as client:
             doomed = client.submit(BOOM_SRC, wait=True)
             assert doomed["state"] == "failed"
             assert "WorkerCrashed" in doomed["error"]
+            _wait_for_recovery(client)
             healthy = client.submit(SAFE_SRC, wait=True)
             assert healthy["state"] == "done"
             assert healthy["result"]["status"] == "safe"
+            shard = client.health()["shards"][0]
+            assert shard["rebuilds"] >= 1
+            assert shard["state"] == "closed"
 
     def test_retries_under_process_isolation_stay_in_the_pool(
         self, daemon, monkeypatch
     ):
-        """A job that crashes its worker on *every* attempt consumes its
-        retries inside the pool: each attempt kills a pool worker, the
-        job settles as WorkerCrashed, the daemon survives.  (Retries
-        must never fall back to in-daemon execution — here that would
-        ``os._exit`` the daemon itself.)"""
+        """A job that crashes its worker on *every* attempt spends its
+        crash retries inside the pool: the first attempt kills a pool
+        worker, the reroute finds the pool broken and counts a second
+        crash, the job settles as WorkerCrashed, the daemon survives.
+        (Retries never fall back to in-daemon execution — here that
+        would ``os._exit`` the daemon itself.)"""
         from repro.perf.parallel import process_pool_usable
 
         if not process_pool_usable():
             pytest.skip("process pools unusable on this platform")
         monkeypatch.setenv("REPRO_FAULTS", "worker.run:crash:match=boom")
-        d = daemon(workers=1, isolation="process", retries=1)
+        d = daemon(isolation="process", crash_retries=1)
         with ServiceClient(d.address) as client:
             doomed = client.submit(BOOM_SRC, wait=True)
             assert doomed["state"] == "failed"
             assert "WorkerCrashed" in doomed["error"]
+            assert doomed["attempts"] == 2
+            _wait_for_recovery(client)
             healthy = client.submit(SAFE_SRC, wait=True)
             assert healthy["state"] == "done"
             stats = client.stats()
-            # Both attempts of the doomed job executed through the pool
-            # path, plus the healthy job: three pool executions.
+            # Both attempts of the doomed job went through the shard,
+            # plus the healthy job: three executions, one crash reroute.
             assert stats["executed"] == 3
             assert stats["retried"] == 1
+            assert stats["failed"] == 1
 
     def test_interrupt_fault_fails_job_not_daemon(self, daemon):
-        d = daemon(workers=1)
+        d = daemon()
         faults.install(FaultPlan([parse_spec("worker.run:interrupt:match=boom")]))
         with ServiceClient(d.address) as client:
             doomed = client.submit(BOOM_SRC, wait=True)
@@ -290,56 +303,12 @@ class TestCrashIsolation:
 
 class TestShutdown:
     def test_shutdown_verb_stops_daemon(self, daemon):
-        d = daemon(workers=1)
+        d = daemon()
         with ServiceClient(d.address) as client:
             assert client.shutdown()["stopping"] is True
-        deadline = threading.Event()
-        deadline.wait(0.1)
+        deadline = time.monotonic() + 10.0
+        while d.running:  # the verb alone drains and stops the daemon
+            assert time.monotonic() < deadline, "shutdown verb ignored"
+            time.sleep(0.02)
         d.stop()  # idempotent with the wire-initiated stop
         assert not d.running
-
-
-class TestResultStore:
-    def test_memory_then_disk_promotion(self, tmp_path):
-        path = str(tmp_path / "verdicts.jsonl")
-        store = ResultStore(path)
-        store.put("k", {"status": "safe", "degraded": False})
-        fresh = ResultStore(path)
-        result, tier = fresh.get("k")
-        assert tier == "disk" and result["status"] == "safe"
-        _, tier2 = fresh.get("k")
-        assert tier2 == "memory"  # promoted on first disk hit
-
-    def test_degraded_results_dropped(self, tmp_path):
-        store = ResultStore(str(tmp_path / "verdicts.jsonl"))
-        assert store.put("k", {"status": "unknown", "degraded": True}) is False
-        assert store.get("k") == (None, None)
-        assert not cacheable({"degraded": True})
-        assert cacheable({"status": "safe", "degraded": False})
-
-    def test_memory_only_store(self):
-        store = ResultStore(None)
-        store.put("k", {"status": "safe"})
-        assert store.get("k")[1] == "memory"
-        assert "disk_entries" not in store.stats()
-
-    def test_memory_tier_is_a_bounded_lru(self, tmp_path):
-        store = ResultStore(str(tmp_path / "verdicts.jsonl"), max_memory=2)
-        store.put("a", {"status": "safe"})
-        store.put("b", {"status": "safe"})
-        assert store.get("a")[1] == "memory"  # refresh a
-        store.put("c", {"status": "safe"})  # evicts b (LRU)
-        assert store.stats()["memory_entries"] == 2
-        assert store.get("a")[1] == "memory"
-        # b was evicted from memory but persists on disk; the disk hit
-        # promotes it back (evicting c, now the least recently used).
-        assert store.get("b")[1] == "disk"
-        assert store.stats()["memory_entries"] == 2
-        assert store.get("c")[1] == "disk"
-
-    def test_memory_only_lru_drops_oldest(self):
-        store = ResultStore(None, max_memory=1)
-        store.put("a", {"status": "safe"})
-        store.put("b", {"status": "safe"})
-        assert store.get("a") == (None, None)
-        assert store.get("b")[1] == "memory"

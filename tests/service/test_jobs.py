@@ -1,10 +1,8 @@
-"""Job fingerprints and the coalescing priority queue."""
-
-import threading
+"""Job fingerprints: the content key identical submissions share."""
 
 import pytest
 
-from repro.service.jobs import Job, JobQueue, job_key
+from repro.service.jobs import job_key
 from repro.util.errors import ReproError
 
 SRC = """
@@ -79,114 +77,3 @@ class TestJobKey:
         with pytest.raises(ReproError, match="no procedure"):
             job_key({"source": SRC, "proc": "nope"})
 
-
-def _job(queue, key, priority=0):
-    job, coalesced = queue.submit({"source": SRC}, key, priority=priority)
-    return job, coalesced
-
-
-class TestJobQueue:
-    def test_fifo_within_priority(self):
-        queue = JobQueue()
-        a, _ = _job(queue, "a")
-        b, _ = _job(queue, "b")
-        assert queue.pop(timeout=0.1) is a
-        assert queue.pop(timeout=0.1) is b
-
-    def test_higher_priority_first(self):
-        queue = JobQueue()
-        _job(queue, "low", priority=0)
-        urgent, _ = _job(queue, "urgent", priority=10)
-        assert queue.pop(timeout=0.1) is urgent
-
-    def test_coalescing_onto_queued_job(self):
-        queue = JobQueue()
-        a, coalesced_a = _job(queue, "same")
-        b, coalesced_b = _job(queue, "same")
-        assert a is b
-        assert not coalesced_a and coalesced_b
-        assert a.waiters == 2
-        assert queue.coalesced == 1
-        assert queue.depth() == 1  # one heap entry, not two
-
-    def test_coalescing_onto_running_job(self):
-        queue = JobQueue()
-        a, _ = _job(queue, "same")
-        assert queue.pop(timeout=0.1) is a  # now running
-        b, coalesced = _job(queue, "same")
-        assert b is a and coalesced
-
-    def test_settled_jobs_do_not_absorb(self):
-        queue = JobQueue()
-        a, _ = _job(queue, "same")
-        queue.pop(timeout=0.1)
-        queue.finish(a, result={"status": "safe"})
-        b, coalesced = _job(queue, "same")
-        assert b is not a and not coalesced
-
-    def test_finish_settles_and_signals(self):
-        queue = JobQueue()
-        a, _ = _job(queue, "a")
-        queue.pop(timeout=0.1)
-        queue.finish(a, error="boom")
-        assert a.state == "failed" and a.settled and a.error == "boom"
-        assert a.done.is_set()
-
-    def test_pop_times_out(self):
-        assert JobQueue().pop(timeout=0.05) is None
-
-    def test_close_wakes_blocked_pop(self):
-        queue = JobQueue()
-        popped = []
-        waiter = threading.Thread(target=lambda: popped.append(queue.pop()))
-        waiter.start()
-        queue.close()
-        waiter.join(timeout=2.0)
-        assert not waiter.is_alive()
-        assert popped == [None]
-
-    def test_closed_queue_rejects_submissions(self):
-        queue = JobQueue()
-        queue.close()
-        with pytest.raises(ReproError, match="closed"):
-            queue.submit({"source": SRC}, "k")
-
-    def test_close_drains_queued_jobs_first(self):
-        queue = JobQueue()
-        a, _ = _job(queue, "a")
-        queue.close()
-        assert queue.pop(timeout=0.1) is a
-        assert queue.pop(timeout=0.1) is None
-
-    def test_settled_jobs_are_evicted_beyond_retention(self):
-        queue = JobQueue(max_settled=2)
-        jobs = []
-        for name in ("a", "b", "c"):
-            job, _ = _job(queue, name)
-            queue.pop(timeout=0.1)
-            queue.finish(job, result={"status": "safe"})
-            jobs.append(job)
-        # Oldest settled record evicted; the two newest remain.
-        assert queue.get(jobs[0].id) is None
-        assert queue.get(jobs[1].id) is jobs[1]
-        assert queue.get(jobs[2].id) is jobs[2]
-        # Eviction dropped only the queue's reference — the settled
-        # object itself (a waiter's handle) is untouched.
-        assert jobs[0].state == "done" and jobs[0].done.is_set()
-
-    def test_active_jobs_never_evicted(self):
-        queue = JobQueue(max_settled=1)
-        active, _ = _job(queue, "active")  # stays queued throughout
-        for name in ("a", "b", "c"):
-            job, _ = _job(queue, name, priority=1)
-            queue.pop(timeout=0.1)
-            queue.finish(job, result={"status": "safe"})
-        assert queue.get(active.id) is active
-
-    def test_snapshot_is_json_shaped(self):
-        job = Job(id="job-1", key="k", payload={"proc": "check"}, priority=2)
-        snap = job.snapshot()
-        assert snap["job"] == "job-1"
-        assert snap["state"] == "queued"
-        assert snap["proc"] == "check"
-        assert snap["priority"] == 2

@@ -46,7 +46,7 @@ class TestPdscJobKey:
 
 
 class TestWireIntake:
-    """Both front ends build job payloads through intake_payload; a
+    """The daemon builds job payloads through intake_payload; a
     submit message's kind and kind-specific knobs must survive it."""
 
     def test_pdsc_message_keeps_kind_and_pdsc_knobs(self):

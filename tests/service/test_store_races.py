@@ -1,86 +1,114 @@
-"""Bounded state under concurrency: queue eviction, LRU races, restarts.
+"""Bounded state under concurrency: job retention, LRU races, restarts.
 
 The resident daemon's promise is that its footprint tracks *concurrent*
 load, not lifetime traffic — settled job records and memory-tier
-verdicts are both bounded.  These tests hammer those bounds from many
-threads and prove a drained restart still answers from the disk tier.
+verdicts are both bounded.  These tests check the daemon's settled-job
+retention, hammer the store's bounds from many threads, and prove a
+drained restart still answers from the disk tier.
 """
 
 import threading
 
 import pytest
 
-from repro.service.jobs import SETTLED_RETENTION, JobQueue
+from repro.resilience import faults
+from repro.resilience.faults import FaultPlan, parse_spec
+from repro.service import ServiceClient, aio
+from repro.service.aio import AsyncAnalysisDaemon, AsyncJob
+from repro.service.jobs import SETTLED_RETENTION
 from repro.service.store import MEMORY_TIER_LIMIT, ResultStore
+from repro.util.errors import ServiceError
 
 pytestmark = pytest.mark.service
+
+BOOM_SRC = "proc boom(public x: int): int { return x; }\n"
 
 
 def _payload(n):
     return {"source": "src-%d" % n, "proc": "p"}
 
 
+@pytest.fixture
+def retention(monkeypatch):
+    """``retention(n)`` shrinks the daemon's settled-job retention to n."""
+    return lambda n: monkeypatch.setattr(aio, "SETTLED_RETENTION", n)
+
+
+def _daemon():
+    return AsyncAnalysisDaemon("tcp:127.0.0.1:0", shards=1, isolation="thread")
+
+
+def _register(daemon, n, key=None):
+    """An unsettled job, indexed the way the submit path indexes it."""
+    job = AsyncJob(id="ajob-%d" % n, key=key or "k%d" % n, payload=_payload(n))
+    daemon._active[job.key] = job
+    daemon._jobs[job.id] = job
+    return job
+
+
 class TestSettledEviction:
-    def test_settled_jobs_evict_oldest_first(self):
-        queue = JobQueue(max_settled=5)
+    def test_settled_jobs_evict_oldest_first(self, retention):
+        retention(5)
+        daemon = _daemon()
         finished = []
         for n in range(12):
-            job, coalesced = queue.submit(_payload(n), key="k%d" % n)
-            assert not coalesced
-            assert queue.pop(timeout=1) is job
-            queue.finish(job, result={"n": n})
+            job = _register(daemon, n)
+            daemon._finish(job, result={"n": n})
             finished.append(job.id)
         # Only the five youngest settled records survive.
         for old_id in finished[:-5]:
-            assert queue.get(old_id) is None
+            assert old_id not in daemon._jobs
         for young_id in finished[-5:]:
-            assert queue.get(young_id) is not None
-        assert len(queue.jobs()) == 5
+            assert young_id in daemon._jobs
+        assert len(daemon._jobs) == 5
 
-    def test_active_jobs_are_never_evicted(self):
-        queue = JobQueue(max_settled=2)
-        survivor, _ = queue.submit(_payload(999), key="survivor")
+    def test_active_jobs_are_never_evicted(self, retention):
+        retention(2)
+        daemon = _daemon()
+        survivor = _register(daemon, 999, key="survivor")
         for n in range(10):
-            job, _ = queue.submit(_payload(n), key="k%d" % n)
-        # Settle everything except the survivor (priority order is
-        # irrelevant here; pop until the heap only holds the survivor).
-        settled = 0
-        while settled < 10:
-            job = queue.pop(timeout=1)
-            if job is survivor:
-                # Put it conceptually back: just finish the others.
-                continue
-            queue.finish(job, result={})
-            settled += 1
-        assert queue.get(survivor.id) is survivor
-        assert queue.pending() == 1
+            daemon._finish(_register(daemon, n), result={})
+        assert daemon._jobs[survivor.id] is survivor
+        assert daemon._active == {"survivor": survivor}
 
-    def test_eviction_drops_only_the_queue_reference(self):
-        queue = JobQueue(max_settled=1)
-        first, _ = queue.submit(_payload(1), key="k1")
-        queue.pop(timeout=1)
-        queue.finish(first, result={"keep": True})
-        second, _ = queue.submit(_payload(2), key="k2")
-        queue.pop(timeout=1)
-        queue.finish(second, result={})
+    def test_eviction_drops_only_the_queue_reference(self, retention):
+        retention(1)
+        daemon = _daemon()
+        first = _register(daemon, 1)
+        daemon._finish(first, result={"keep": True})
+        daemon._finish(_register(daemon, 2), result={})
         # ``first`` was evicted from the index, but a handler holding the
         # object still reads its settled state.
-        assert queue.get(first.id) is None
+        assert first.id not in daemon._jobs
         assert first.settled
         assert first.result == {"keep": True}
         assert first.done.is_set()
 
     def test_default_retention_matches_module_constant(self):
-        assert JobQueue()._max_settled == SETTLED_RETENTION
+        assert aio.SETTLED_RETENTION == SETTLED_RETENTION
 
-    def test_resubmission_after_eviction_is_a_fresh_job(self):
-        queue = JobQueue(max_settled=1)
-        first, _ = queue.submit(_payload(1), key="same")
-        queue.pop(timeout=1)
-        queue.finish(first, result={})
-        again, coalesced = queue.submit(_payload(1), key="same")
-        assert not coalesced  # settled jobs never absorb submissions
-        assert again.id != first.id
+    def test_resubmission_after_eviction_is_a_fresh_job(
+        self, retention, threaded_daemon
+    ):
+        retention(1)
+        faults.install(FaultPlan([parse_spec("worker.run:error:match=boom@1+")]))
+        try:
+            d = threaded_daemon()
+            with ServiceClient(d.address) as client:
+                first = client.submit(BOOM_SRC, wait=True)
+                again = client.submit(BOOM_SRC, wait=True)
+                assert first["state"] == again["state"] == "failed"
+                # Failed jobs are not cached and settled jobs never
+                # absorb submissions: the resubmission runs fresh ...
+                assert again["job"] != first["job"]
+                assert again.get("coalesced") is False
+                assert client.stats()["executed"] == 2
+                # ... and its settling evicted the first record.
+                with pytest.raises(ServiceError, match="no job"):
+                    client.status(first["job"])
+                assert client.status(again["job"])["job"] == again["job"]
+        finally:
+            faults.clear()
 
 
 class TestStoreLRURaces:
