@@ -32,8 +32,9 @@ pdsc-smoke:
 	$(PYTHON) benchmarks/bench_diffcheck.py --quick
 
 # The full 4-way agreement bench: a 10k-program seed-0 campaign that
-# regenerates BENCH_diffcheck.json (agreement matrix, per-subject wall
-# clock) and gates on soundness + agreement-rate regressions.
+# writes BENCH_diffcheck.json locally (agreement matrix, per-subject
+# wall clock) and gates on soundness, and on agreement-rate
+# regressions against the report of an earlier local run.
 bench-diffcheck:
 	$(PYTHON) benchmarks/bench_diffcheck.py
 
@@ -60,11 +61,11 @@ perf-smoke:
 	$(PYTHON) benchmarks/bench_perf.py --quick --output /tmp/bench_quick.json
 
 # Incremental re-analysis gate (docs/PERFORMANCE.md): a 12-program
-# incremental-vs-scratch equivalence sweep (digests and per-node bounds
-# must agree at every refinement round) followed by the refine.delta
-# sabotage self-test, which corrupts exactly one reused parent fixpoint
-# and requires the sweep to flag exactly one divergence.  Under 60 s on
-# one core.
+# equivalence sweep of the perf-on engine against the perf-off seed
+# engine (digests and per-node bounds must agree at every refinement
+# round) followed by the refine.delta sabotage self-test, which
+# corrupts exactly one reused parent fixpoint and requires the sweep to
+# flag exactly one divergence.  Under 60 s on one core.
 incremental-smoke:
 	$(PYTHON) benchmarks/bench_incremental.py --quick
 

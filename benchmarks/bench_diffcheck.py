@@ -2,8 +2,9 @@
 
 Runs a seeded ``repro diffcheck`` campaign with every registered
 subject (Blazer, eager self-composition, the constant-time checker,
-PDSC, and the quantitative leakage analysis), then publishes the
-machine-readable ``BENCH_diffcheck.json``:
+PDSC, and the quantitative leakage analysis), then writes the
+machine-readable ``BENCH_diffcheck.json`` (a local file; no copy is
+committed):
 
 * the **agreement matrix** — for every subject pair (oracle included),
   the fraction of programs on which both made the same safe/not-safe
@@ -16,10 +17,10 @@ machine-readable ``BENCH_diffcheck.json``:
 Gates (exit non-zero):
 
 * **soundness** — zero ``soundness_bug`` rows, always;
-* **agreement regression** — when the committed report has the same
-  coordinates, no subject's oracle-agreement rate may drop more than
-  ``AGREEMENT_TOLERANCE`` (the previous report is read before being
-  overwritten);
+* **agreement regression** — when a report from an earlier local run
+  has the same coordinates, no subject's oracle-agreement rate may
+  drop more than ``AGREEMENT_TOLERANCE`` (the previous report is read
+  before being overwritten; without one the gate is skipped);
 * **campaign health** — worker errors (exit 4 from the runner) fail
   the bench too.
 
@@ -153,7 +154,7 @@ def check_gates(record: Dict, previous: Optional[Dict]) -> List[str]:
         new = record["agreement"][ORACLE][subject]
         if old is not None and new < old - AGREEMENT_TOLERANCE:
             failures.append(
-                "AGREEMENT GATE: %s oracle-agreement %.4f < committed %.4f - %.2f"
+                "AGREEMENT GATE: %s oracle-agreement %.4f < previous %.4f - %.2f"
                 % (subject, new, old, AGREEMENT_TOLERANCE)
             )
     return failures

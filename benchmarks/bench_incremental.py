@@ -4,10 +4,11 @@ Two modes over :mod:`repro.diffcheck.equivalence`:
 
 * **clean** (default): a seeded sweep of ``--count`` generated programs
   (the acceptance gate runs >= 300), each analyzed by the Blazer driver
-  with the incremental re-analysis plane forced on and forced off.  The
-  gate fails on any divergence — verdict status, verdict digest, or any
-  single partition node's bound at any refinement round — and on any
-  worker error.  It also fails when the sweep never exercised the plane
+  twice: with the perf layer on (every memo plus the incremental
+  re-analysis plane) and with the perf-off seed engine.  The gate fails
+  on any divergence — verdict status, verdict digest, or any single
+  partition node's bound at any refinement round — and on any worker
+  error.  It also fails when the sweep never exercised the plane
   (zero ``refine.reuse`` probes would mean the battery tests nothing).
 
 * ``--sabotage``: the proof the gate has teeth.  A
@@ -21,7 +22,7 @@ Two modes over :mod:`repro.diffcheck.equivalence`:
 Usage::
 
     python benchmarks/bench_incremental.py [--seed S] [--count N]
-        [--jobs N] [--output PATH] [--scratch-seed-engine]
+        [--jobs N] [--output PATH]
     python benchmarks/bench_incremental.py --sabotage [--count N]
     python benchmarks/bench_incremental.py --quick   # smoke: small clean
                                                      # sweep + sabotage
@@ -47,7 +48,7 @@ SABOTAGE_SPEC = "refine.delta:corrupt@1"
 
 def run_clean(config: EquivalenceConfig, jobs: int, output: str) -> int:
     print(
-        "equivalence sweep: %d programs (seed %d), incremental on vs off, "
+        "equivalence sweep: %d programs (seed %d), incremental vs seed engine, "
         "--jobs %d..." % (config.count, config.seed, jobs)
     )
     report = run_sweep(config, jobs=jobs)
@@ -146,12 +147,6 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--output", default="", help="JSON report path")
     parser.add_argument(
-        "--scratch-seed-engine",
-        action="store_true",
-        help="compare against the perf-off seed engine instead of the "
-        "perf-on/incremental-off engine (slower, strongest oracle)",
-    )
-    parser.add_argument(
         "--sabotage",
         action="store_true",
         help="inject %s and assert exactly one flagged divergence"
@@ -166,11 +161,7 @@ def main() -> int:
     args = parser.parse_args()
 
     count = QUICK_COUNT if args.quick else args.count
-    config = EquivalenceConfig(
-        seed=args.seed,
-        count=count,
-        scratch_perf=not args.scratch_seed_engine,
-    )
+    config = EquivalenceConfig(seed=args.seed, count=count)
     if args.sabotage:
         return run_sabotage(config)
     status = run_clean(config, jobs=args.jobs, output=args.output)

@@ -8,8 +8,12 @@ Usage (from the repository root)::
 
 or ``make bench-pairs BASE=<ref> WORKLOAD=<w> PAIRS=10``.
 
-The committed files of ``<ref>`` are exported (``git archive``) into a
-temporary directory.  Pair ``i`` (counting from 1) runs both sides with
+Both sides run from sibling directories of one fresh temporary
+directory, so neither gains from where it sits on disk: ``base/`` holds
+the committed files of ``<ref>`` (``git archive``), and ``tree/`` holds
+a copy of the working tree's tracked and untracked, non-ignored files
+(``git ls-files -co --exclude-standard``), so uncommitted changes are
+measured too.  Pair ``i`` (counting from 1) runs both sides with
 seed ``i``, swapping which side goes first on every pair so that
 drift in the machine's load falls on both.  For every metric the two
 runs report, the script prints each side's median [q1–q3] and how many
@@ -57,6 +61,23 @@ def export(ref: str, dest: str) -> None:
         stdout=subprocess.PIPE,
     ).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def snapshot(dest: str) -> None:
+    """The working tree's tracked and untracked, non-ignored files,
+    copied under ``dest``."""
+    listing = subprocess.run(
+        ["git", "-C", ROOT, "ls-files", "-z", "-co", "--exclude-standard"],
+        check=True,
+        stdout=subprocess.PIPE,
+    ).stdout.decode()
+    for rel in filter(None, listing.split("\0")):
+        src = os.path.join(ROOT, rel)
+        if not os.path.isfile(src):  # tracked but deleted in the tree
+            continue
+        target = os.path.join(dest, rel)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(src, target)
 
 
 def run_side(root: str, workload: str, seed: int, seconds: float, trace: int) -> Dict[str, float]:
@@ -149,8 +170,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
     runs: List[Dict[str, Dict[str, float]]] = []
     try:
-        export(args.base, scratch)
-        roots = {"base": scratch, "tree": ROOT}
+        roots = {side: os.path.join(scratch, side) for side in ("base", "tree")}
+        for root in roots.values():
+            os.mkdir(root)
+        export(args.base, roots["base"])
+        snapshot(roots["tree"])
         for index in range(args.pairs):
             seed = index + 1
             order = ("base", "tree") if index % 2 == 0 else ("tree", "base")

@@ -494,7 +494,7 @@ class BoundAnalysis:
         # child consults its parent's lineage-indexed artifacts first,
         # except for loops the split's constructor touches, which are
         # dirty and recompute unconditionally.
-        use_inc = runtime.incremental_enabled() and self._budget is None
+        use_inc = runtime.enabled() and self._budget is None
         key = None
         candidates: Optional[List[RankCandidate]] = None
         single_exit: Optional[Node] = None
@@ -569,7 +569,7 @@ class BoundAnalysis:
         entry = self._domain.bottom()
         preds = (
             self._header_preds(loop.header)
-            if runtime.incremental_enabled()
+            if runtime.enabled()
             else None
         )
         for m in self._live:
@@ -843,7 +843,7 @@ class BoundAnalysis:
                 budget=self._budget,
             ).compute()
 
-        if not (runtime.incremental_enabled() and self._budget is None):
+        if not (runtime.enabled() and self._budget is None):
             return compute()
         from repro.perf import incremental
         from repro.perf.fingerprint import cfg_fingerprint
@@ -870,7 +870,7 @@ class BoundAnalysis:
         delta-lineage fingerprint, for future split children to probe."""
         if self._trail is None or not self._iter_keys:
             return
-        if not (runtime.incremental_enabled() and self._budget is None):
+        if not (runtime.enabled() and self._budget is None):
             return
         from repro.perf import incremental
 

@@ -23,7 +23,6 @@ Attack phase
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -46,10 +45,9 @@ from repro.domains import DOMAINS
 from repro.domains.base import Domain
 from repro.ir import lift_module
 from repro.lang import ast, frontend
-from repro.obs.trace import current_context, span as trace_span
+from repro.obs.trace import span as trace_span
 from repro.perf import runtime
 from repro.perf.cache import AnalysisCache
-from repro.perf.parallel import thread_map_chunked
 from repro.resilience.budget import Budget, DegradationReport
 from repro.taint import TaintResult, analyze_taint
 from repro.trails import PartitionTree, Trail, TrailNode, split_trail
@@ -75,20 +73,11 @@ class BlazerConfig:
     max_attack_depth: int = 6
     strategies: Optional[tuple] = None
     # Perf layer (docs/PERFORMANCE.md): ``cache`` forces the perf layer
-    # on/off for this driver (None = inherit the process-wide flag);
-    # ``jobs`` > 1 fans leaf evaluation out over an in-process worker
-    # pool whenever a partition has at least ``parallel_leaf_min``
-    # unevaluated leaves.
-    cache: Optional[bool] = None
-    jobs: int = 1
-    parallel_leaf_min: int = 4
-    # Incremental re-analysis plane (docs/PERFORMANCE.md): forces the
-    # REPRO_PERF_INCREMENTAL sub-flag on/off for this driver (None =
-    # inherit the process-wide flag).  Off reproduces the
-    # pre-incremental engine exactly — same results, same hit/miss
-    # counters — which is what the differential battery compares
+    # — memo tables, fast paths and the incremental re-analysis plane —
+    # on/off for this driver (None = inherit the process-wide flag).
+    # Off is the exact seed engine the differential batteries compare
     # against.
-    incremental: Optional[bool] = None
+    cache: Optional[bool] = None
     # Resilience layer (docs/RESILIENCE.md): a cooperative Budget bounds
     # this driver's analyze() calls (wall clock, refinement iterations,
     # fixpoint steps).  On exhaustion the driver degrades soundly: the
@@ -193,7 +182,7 @@ class Blazer:
         # (None while healthy); reset per analysis.
         self._exhaustion: Optional[ResourceExhausted] = None
         self._exhaustion_phase: str = "safety"
-        with self._perf_ctx(), self._incremental_ctx(), trace_span("blazer.construct"):
+        with self._perf_ctx(), trace_span("blazer.construct"):
             module = compile_program(program)
             verify_module(module)
             self.module = module
@@ -224,18 +213,14 @@ class Blazer:
             self._proc_bounds: Dict[str, ProcBound] = self._compute_proc_bounds()
             self._taints: Dict[str, TaintResult] = {}
         # Per-phase wall-clock accumulators for the current analyze()
-        # call.  Leaf evaluation can fan out over worker threads
-        # (``jobs`` > 1), so accumulation is lock-protected.
+        # call.
         self._phase: Dict[str, float] = {}
-        self._phase_lock = threading.Lock()
 
     def _add_phase(self, name: str, seconds: float) -> None:
-        with self._phase_lock:
-            self._phase[name] = self._phase.get(name, 0.0) + seconds
+        self._phase[name] = self._phase.get(name, 0.0) + seconds
 
     def _phase_snapshot(self, verdict: "BlazerVerdict") -> Dict[str, float]:
-        with self._phase_lock:
-            phases = dict(self._phase)
+        phases = dict(self._phase)
         phases["attack"] = verdict.attack_seconds
         phases["total"] = verdict.total_seconds
         return {name: round(phases[name], 6) for name in sorted(phases)}
@@ -253,12 +238,6 @@ class Blazer:
         if self.config.cache is None:
             return nullcontext()
         return runtime.override(self.config.cache)
-
-    def _incremental_ctx(self):
-        """Ditto for the incremental sub-flag (``config.incremental``)."""
-        if self.config.incremental is None:
-            return nullcontext()
-        return runtime.override_incremental(self.config.incremental)
 
     def taint(self, proc: str) -> TaintResult:
         if proc not in self._taints:
@@ -299,7 +278,7 @@ class Blazer:
         the same scope under the incremental plane (``bounds.proc``) —
         diffcheck sweeps and refinement-heavy benchmarks construct many
         drivers over the same program."""
-        if not (runtime.incremental_enabled() and self.config.budget is None):
+        if not (runtime.enabled() and self.config.budget is None):
             return compute_proc_bounds(self.cfgs, self._domain, self._summaries)
         from repro.perf import incremental
 
@@ -327,7 +306,7 @@ class Blazer:
             )
             return analysis.compute()
 
-        if not (runtime.incremental_enabled() and self.config.budget is None):
+        if not (runtime.enabled() and self.config.budget is None):
             return compute()
         # Shared cross-driver tier: keyed by scope + the trail's content
         # fingerprint + the trail DFA's *exact* state structure (bound
@@ -361,20 +340,14 @@ class Blazer:
             self._exhaustion = exc
             self._exhaustion_phase = phase
 
-    def _guarded_bound(
-        self, cfg: ControlFlowGraph, trail: Trail, parent=None
-    ) -> BoundResult:
+    def _guarded_bound(self, cfg: ControlFlowGraph, trail: Trail) -> BoundResult:
         """CHECKSAFE leaf evaluation that degrades instead of raising.
 
         Once the budget has tripped, every remaining leaf's checkpoint
         fires immediately, so the whole partition settles to ⊤ bounds in
         time linear in the leaf count — never a hang.
-
-        ``parent`` is the caller's span context: worker threads have
-        empty span stacks of their own, so the parallel path passes it
-        explicitly to keep CHECKSAFE spans nested under the round.
         """
-        with trace_span("checksafe", parent=parent, trail=trail):
+        with trace_span("checksafe", trail=trail):
             try:
                 return self._bound(cfg, trail)
             except ResourceExhausted as exc:
@@ -418,26 +391,6 @@ class Blazer:
 
     def _evaluate_leaves(self, cfg: ControlFlowGraph, tree: PartitionTree) -> None:
         pending = [leaf for leaf in tree.leaves() if leaf.bound is None]
-        if self.config.jobs > 1 and len(pending) >= self.config.parallel_leaf_min:
-            # Fan the independent leaf analyses out over an in-process
-            # pool in *chunks* — one task per handful of leaves, not per
-            # leaf, since a cached leaf bound settles in microseconds
-            # and a per-leaf future would cost more than the work.
-            # Results come back in input order and classification stays
-            # sequential, so the outcome is identical to the serial
-            # loop.  The guard lives inside the mapped function, so a
-            # budget trip in one worker thread degrades that leaf
-            # without tearing down the pool.
-            ctx = current_context()
-            bounds = thread_map_chunked(
-                lambda leaf: self._guarded_bound(cfg, leaf.trail, parent=ctx),
-                pending,
-                self.config.jobs,
-            )
-            for leaf, bound in zip(pending, bounds):
-                leaf.bound = bound
-                self._classify(cfg, leaf)
-            return
         for leaf in pending:
             leaf.bound = self._guarded_bound(cfg, leaf.trail)
             self._classify(cfg, leaf)
@@ -478,11 +431,8 @@ class Blazer:
     def analyze(self, proc: str) -> BlazerVerdict:
         if self.config.budget is not None:
             self.config.budget.start()
-        with self._phase_lock:
-            self._phase = {}
-        with self._perf_ctx(), self._incremental_ctx(), trace_span(
-            "blazer.analyze", proc=proc
-        ) as root:
+        self._phase = {}
+        with self._perf_ctx(), trace_span("blazer.analyze", proc=proc) as root:
             stats_before = runtime.STATS.snapshot()
             events_before = runtime.STATS.events_snapshot()
             verdict = self._analyze(proc)

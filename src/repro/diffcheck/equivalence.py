@@ -2,9 +2,10 @@
 
 This is the differential battery of the incremental re-analysis plane
 (docs/PERFORMANCE.md): every generated program is analyzed twice by the
-Blazer driver — once with the ``REPRO_PERF_INCREMENTAL`` sub-flag
-forced on, once forced off (the exact pre-incremental engine) — and the
-two runs must agree *byte-for-byte*:
+Blazer driver — once with the perf layer on (``BlazerConfig(cache=
+True)``: every memo plus the incremental plane), once with it off (the
+exact unmemoized seed engine) — and the two runs must agree
+*byte-for-byte*:
 
 * same verdict status;
 * same :func:`~repro.core.report.verdict_digest` (the digest hashes the
@@ -51,21 +52,12 @@ from repro.resilience.retry import RetryPolicy
 
 @dataclass(frozen=True)
 class EquivalenceConfig:
-    """One sweep's knobs — picklable for the worker pool.
-
-    ``scratch_perf`` selects the reference engine: True (default)
-    compares against today's committed engine — perf layer on,
-    incremental sub-flag off — which isolates exactly what this plane
-    added (``bench_perf.py`` already gates perf-on against the seed
-    engine); False compares against the perf-off seed engine itself,
-    the strongest (and slowest) oracle.
-    """
+    """One sweep's knobs — picklable for the worker pool."""
 
     seed: int = 0
     count: int = 300
     threshold: int = 24
     domain: str = "zone"
-    scratch_perf: bool = True
     generator: GeneratorConfig = GeneratorConfig()
 
 
@@ -166,11 +158,11 @@ def check_equivalence(
     name: str, config: EquivalenceConfig
 ) -> EquivalenceOutcome:
     """The pool worker: regenerate program ``name``, analyze it with the
-    incremental plane on and off, and compare everything.
+    perf layer on (incremental plane included) and with the seed
+    engine, and compare everything.
 
-    The incremental run goes *first* so its lineage probes see only the
-    state earlier programs left behind, never a bound the scratch run
-    of the same program just stored.
+    The seed engine reads and writes no memo table, so the incremental
+    run's probes see only the state earlier programs left behind.
     """
     index = int(name.lstrip("p"))
     outcome = EquivalenceOutcome(name=name, index=index, seed=config.seed)
@@ -185,7 +177,7 @@ def check_equivalence(
             },
         )
 
-        def run(cache: Optional[bool], incremental: Optional[bool]):
+        def run(cache: bool):
             blazer = Blazer.from_source(
                 program.source,
                 BlazerConfig(
@@ -193,17 +185,12 @@ def check_equivalence(
                     observer=observer,
                     summaries=model.summaries,
                     cache=cache,
-                    incremental=incremental,
                 ),
             )
             return blazer.analyze(PROC_NAME)
 
-        inc = run(cache=True, incremental=True)
-        scr = (
-            run(cache=True, incremental=False)
-            if config.scratch_perf
-            else run(cache=False, incremental=None)
-        )
+        inc = run(cache=True)
+        scr = run(cache=False)
 
         outcome.status_incremental = inc.status
         outcome.status_scratch = scr.status
@@ -255,7 +242,6 @@ class SweepReport:
                 "count": self.config.count,
                 "threshold": self.config.threshold,
                 "domain": self.config.domain,
-                "scratch_perf": self.config.scratch_perf,
             },
             "summary": {
                 "programs": len(self.outcomes),

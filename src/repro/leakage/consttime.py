@@ -1,17 +1,21 @@
 """First-class constant-time checking under a pluggable cost model.
 
-:func:`repro.core.consttime.verify_constant_time` decides the
-control-flow half of Almeida et al.'s constant-time property: no
-reachable branch on secret data.  That is the whole story only when
-every instruction costs the same regardless of its operands.  Under a
-cache-aware model an ``arrayRead(sbox, k)`` with secret ``k`` leaks
-through the *cost of a single straight-line instruction* — control flow
-perfectly public, timing not.
+The paper's related work contrasts timing-channel freedom with Almeida
+et al.'s *constant-time* (USENIX Security'16), a strictly stronger
+property: Blazer's TCF can hold without it (``modPow1_safe`` branches
+on secret exponent bits but balances the cost).  Its control-flow half
+is no reachable branch on secret data.  That is the whole story only
+when every instruction costs the same regardless of its operands.
+Under a cache-aware model an ``arrayRead(sbox, k)`` with secret ``k``
+leaks through the *cost of a single straight-line instruction* —
+control flow perfectly public, timing not.
 
 This checker decides both halves against a :class:`~repro.leakage.model
 .CostModel`:
 
-* **control flow** — the reachable-high-branch check, verbatim;
+* **control flow** — no reachable branch on high data (branches the
+  abstract interpreter proves unreachable are ignored, so a
+  secret-guarded loop behind an infeasible condition does not count);
 * **operand cost** — every reachable call whose summary interval is
   *wide* (``lo != hi``, i.e. the model prices the call by its operands)
   must have exclusively secret-free cost-relevant arguments.

@@ -1,10 +1,11 @@
 """Performance layer: content-addressed caching and worker-pool fan-out.
 
 Everything here is behaviour-preserving: with the layer enabled the
-analyses return byte-identical results, just faster.  Set the
-environment variable ``REPRO_PERF=0`` (or call
-:func:`repro.perf.runtime.set_enabled`) to fall back to the unmemoized
-seed engine.  See ``docs/PERFORMANCE.md`` for the design.
+analyses return byte-identical results, just faster.  ``REPRO_PERF=0``
+(scoped: :func:`repro.perf.runtime.override`; per driver:
+``BlazerConfig(cache=False)``) is the one switch: it falls back to the
+unmemoized seed engine, the incremental re-analysis plane included.
+See ``docs/PERFORMANCE.md`` for the design.
 """
 
 from repro.perf.runtime import (
@@ -13,7 +14,6 @@ from repro.perf.runtime import (
     clear_caches,
     enabled,
     override,
-    set_enabled,
 )
 from repro.perf.fingerprint import (
     cfg_fingerprint,
@@ -26,7 +26,6 @@ from repro.perf.parallel import (
     default_jobs,
     process_pool_usable,
     resolve_jobs,
-    thread_map_chunked,
 )
 from repro.perf.pool import WarmPool, effective_workers, shared_pool
 
@@ -36,7 +35,6 @@ __all__ = [
     "clear_caches",
     "enabled",
     "override",
-    "set_enabled",
     "cfg_fingerprint",
     "dfa_canonical",
     "dfa_fingerprint",
@@ -45,7 +43,6 @@ __all__ = [
     "default_jobs",
     "process_pool_usable",
     "resolve_jobs",
-    "thread_map_chunked",
     "WarmPool",
     "effective_workers",
     "shared_pool",

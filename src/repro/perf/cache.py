@@ -1,4 +1,4 @@
-"""The analysis cache: trail-keyed bound results and derived structures.
+"""The analysis cache: trail-keyed bound results.
 
 One :class:`AnalysisCache` is owned by each :class:`~repro.core.blazer.
 Blazer` instance, so its entries are implicitly keyed by that driver's
@@ -44,9 +44,8 @@ def entry_digest(value: object) -> str:
     """Checksum of an entry's rendered content.
 
     ``str()`` is the cheapest stable rendering the cached objects offer
-    (BoundResult, CostBound and the derived structures all render their
-    semantic content); hashing it costs microseconds against analysis
-    steps that cost milliseconds.
+    (BoundResult and CostBound render their semantic content); hashing
+    it costs microseconds against analysis steps that cost milliseconds.
     """
     return hashlib.sha1(str(value).encode("utf-8", "replace")).hexdigest()
 
@@ -83,7 +82,6 @@ class AnalysisCache:
         self._disk = disk
         self._disk_scope = disk_scope
         self._bounds: Dict[str, Tuple[object, str]] = {}
-        self._regions: Dict[tuple, Tuple[object, str]] = {}
         self.quarantined = 0
 
     # -- integrity ----------------------------------------------------------------
@@ -156,28 +154,6 @@ class AnalysisCache:
             return "bound/%s/%s" % (self._disk_scope, key)
         return "bound/" + key
 
-    # -- generic derived structures -----------------------------------------------
-
-    def derived(self, category: str, key: tuple, compute: Callable[[], object]):
-        """Memoize any derived structure under ``(category, key)``."""
-        if not runtime.enabled():
-            return compute()
-        full_key = (category,) + key
-        entry = self._regions.get(full_key)
-        if entry is not None:
-            try:
-                value = self._checked(category, full_key, entry)
-            except CacheCorruption as exc:
-                del self._regions[full_key]
-                self._quarantine(category, exc)
-            else:
-                self._stats.hit(category)
-                return value
-        self._stats.miss(category)
-        result = compute()
-        self._regions[full_key] = (result, entry_digest(result))
-        return result
-
     def clear(self) -> None:
         """Empty the in-memory tiers and reset quarantine bookkeeping.
 
@@ -189,10 +165,9 @@ class AnalysisCache:
         drivers by design; use ``DiskTier.clear()`` to purge it.
         """
         self._bounds.clear()
-        self._regions.clear()
         if self.quarantined:
             self._stats.discount_event("cache.quarantine", self.quarantined)
         self.quarantined = 0
 
     def __len__(self) -> int:
-        return len(self._bounds) + len(self._regions)
+        return len(self._bounds)

@@ -37,11 +37,12 @@ Three tiers live here:
   (results embed raw DFA state numbers in their product-node
   invariants, so an isomorphism-class key would mislabel states).
 
-Everything in this module is inert unless
-:func:`repro.perf.runtime.incremental_enabled` — the ``REPRO_PERF``
-sub-flag ``REPRO_PERF_INCREMENTAL`` — is on, and every caller
+Everything in this module is inert unless the perf layer is on
+(:func:`repro.perf.runtime.enabled`, ``REPRO_PERF``), and every caller
 additionally bypasses it for budget-armed analyses (degraded results
 must never be reused, and memo hits would skip budget checkpoints).
+With the perf layer off the driver is the exact seed engine, which is
+the reference the differential battery compares this plane against.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Worker-pool fan-out helpers shared by the driver and the bench suite.
+"""Worker-pool fan-out helpers shared by the bench suite and the service.
 
 Three backends behind one function, in degradation order:
 
@@ -6,11 +6,9 @@ Three backends behind one function, in degradation order:
   only backend that buys wall-clock parallelism on CPython.  Requires
   the work function and its arguments to be picklable and importable
   from the worker (module-level functions only).
-* ``"thread"`` — :class:`~concurrent.futures.ThreadPoolExecutor`; used
-  for in-driver leaf fan-out (closures over live analysis state cannot
-  cross a process boundary) and as the automatic fallback on platforms
-  where process pools are unavailable (no ``fork``, restricted
-  sandboxes).
+* ``"thread"`` — :class:`~concurrent.futures.ThreadPoolExecutor`; the
+  automatic fallback on platforms where process pools are unavailable
+  (no ``fork``, restricted sandboxes).
 * ``"serial"`` — a plain loop; always works, chosen whenever
   ``jobs <= 1``.
 
@@ -23,8 +21,6 @@ item's result *or* the exception it raised, worker crashes surface as
 :class:`~repro.util.errors.ResourceExhausted`, so one bad task never
 takes down the suite.  This is what the resilient benchmark runner
 builds its retry logic on (docs/RESILIENCE.md).
-:func:`thread_map_chunked` is the driver's in-process, fail-fast leaf
-fan-out.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from repro.util.errors import ResourceExhausted, WorkerCrashed
 
@@ -94,36 +90,6 @@ def process_pool_usable() -> bool:
             "process pool backend unavailable: no multiprocessing start methods"
         )
     return usable
-
-
-def thread_map_chunked(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    jobs: int,
-    chunk_size: Optional[int] = None,
-) -> List[R]:
-    """In-process fan-out (shared memory, shared caches) with coarse
-    work units: items are grouped into chunks (~4 per worker) and each
-    chunk runs serially inside one thread task, so the per-item pool
-    round-trip — future allocation, queue hop, result box — is paid
-    once per *chunk*.  That overhead is pure loss for the driver's leaf
-    fan-out, where one leaf's bound computation is often microseconds
-    against a warm cache.  Input order; the first exception propagates.
-    """
-    items = list(items)
-    n = len(items)
-    if jobs <= 1 or n <= 1:
-        return [fn(item) for item in items]
-    workers = min(jobs, n)
-    if chunk_size is None:
-        chunk_size = max(1, -(-n // (workers * 4)))
-    chunks = [items[i : i + chunk_size] for i in range(0, n, chunk_size)]
-
-    def run_chunk(chunk: List[T]) -> List[R]:
-        return [fn(item) for item in chunk]
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        return [out for chunk_out in pool.map(run_chunk, chunks) for out in chunk_out]
 
 
 # -- fault-isolating collection ---------------------------------------------

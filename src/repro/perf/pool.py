@@ -75,11 +75,7 @@ def effective_workers(jobs: int) -> int:
     return max(1, min(int(jobs), default_jobs()))
 
 
-def _warm_worker(
-    modules: Tuple[str, ...],
-    perf_flag: Optional[bool],
-    disk_prime: Optional[str],
-) -> None:
+def _warm_worker(modules: Tuple[str, ...], disk_prime: Optional[str]) -> None:
     """Per-worker initializer: run once, before the first task."""
     import importlib
 
@@ -88,10 +84,6 @@ def _warm_worker(
             importlib.import_module(name)
         except Exception:  # pragma: no cover - a missing optional module
             log.warning("warm import of %s failed", name, exc_info=True)
-    if perf_flag is not None:
-        from repro.perf import runtime
-
-        runtime.set_enabled(perf_flag)
     if disk_prime:
         try:
             from repro.perf.disktier import DiskTier
@@ -150,12 +142,10 @@ class WarmPool:
     def __init__(
         self,
         jobs: int,
-        perf_flag: Optional[bool] = None,
         modules: Tuple[str, ...] = WARM_MODULES,
         disk_prime: Optional[str] = None,
     ):
         self.workers = effective_workers(jobs)
-        self._perf_flag = perf_flag
         self._modules = tuple(modules)
         self._disk_prime = disk_prime
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -168,7 +158,7 @@ class WarmPool:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_warm_worker,
-                initargs=(self._modules, self._perf_flag, self._disk_prime),
+                initargs=(self._modules, self._disk_prime),
             )
         return self._pool
 
@@ -323,35 +313,29 @@ def warm_executor(
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=_warm_worker,
-        initargs=(tuple(modules), None, disk_prime),
+        initargs=(tuple(modules), disk_prime),
     )
 
 
 # -- process-wide shared pools -------------------------------------------------
 
-_SHARED: Dict[Tuple[int, Optional[bool], Optional[str]], WarmPool] = {}
+_SHARED: Dict[Tuple[int, Optional[str]], WarmPool] = {}
 _SHARED_LOCK = threading.Lock()
 
 
-def shared_pool(
-    jobs: int,
-    perf_flag: Optional[bool] = None,
-    disk_prime: Optional[str] = None,
-) -> WarmPool:
+def shared_pool(jobs: int, disk_prime: Optional[str] = None) -> WarmPool:
     """The process-wide warm pool for a configuration (created once).
 
     Successive suite runs — and the analysis service's successive
     requests — reuse the same warm workers instead of paying pool
-    startup per run.  Pools are keyed by (clamped worker count, perf
-    flag, disk-prime path) and shut down at interpreter exit.
+    startup per run.  Pools are keyed by (clamped worker count,
+    disk-prime path) and shut down at interpreter exit.
     """
-    key = (effective_workers(jobs), perf_flag, disk_prime)
+    key = (effective_workers(jobs), disk_prime)
     with _SHARED_LOCK:
         pool = _SHARED.get(key)
         if pool is None:
-            pool = _SHARED[key] = WarmPool(
-                jobs, perf_flag=perf_flag, disk_prime=disk_prime
-            )
+            pool = _SHARED[key] = WarmPool(jobs, disk_prime=disk_prime)
         return pool
 
 

@@ -8,8 +8,11 @@ driver — can consult it without import cycles.
 Design rules
 ------------
 * **One flag.**  ``enabled()`` gates every memo and fast path of the
-  perf layer at once.  With the flag off the tool behaves exactly like
-  the unmemoized seed engine — that configuration is the "serial"
+  perf layer at once, the incremental re-analysis plane included.  Set
+  it with ``REPRO_PERF=0``, scope it with :func:`override`, or pin it
+  per driver with ``BlazerConfig(cache=...)``.  With the flag off the
+  tool behaves exactly like the unmemoized seed engine — the reference
+  the differential batteries compare against, and the "serial"
   baseline ``benchmarks/bench_perf.py`` measures speedups against.
 * **Counters are per process.**  ``STATS`` accumulates hits/misses per
   category; callers that want a per-task view (the Blazer driver)
@@ -31,38 +34,11 @@ TABLE_LIMIT = 100_000
 
 _ENABLED = os.environ.get("REPRO_PERF", "1") not in ("0", "false", "off")
 
-# Sub-flag of the perf layer: the incremental re-analysis plane
-# (docs/PERFORMANCE.md).  ``REPRO_PERF_INCREMENTAL=0`` keeps every
-# PR-1..6 memo active but disables the delta-directed refinement reuse
-# (parent loop artifacts, the shared cross-driver bound tier, the
-# interned split derivations) — the exact pre-incremental engine.
-# Nested under the main flag: incremental reuse is never active when
-# the perf layer itself is off.
-_INCREMENTAL = os.environ.get("REPRO_PERF_INCREMENTAL", "1") not in (
-    "0",
-    "false",
-    "off",
-)
-
 
 def enabled() -> bool:
-    """Is the perf layer (caching + fast paths) active in this process?"""
+    """Is the perf layer (caching, fast paths and the incremental
+    re-analysis plane) active in this process?"""
     return _ENABLED
-
-
-def set_enabled(flag: bool) -> None:
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-def incremental_enabled() -> bool:
-    """Is the incremental re-analysis plane active?  Implies ``enabled()``."""
-    return _ENABLED and _INCREMENTAL
-
-
-def set_incremental(flag: bool) -> None:
-    global _INCREMENTAL
-    _INCREMENTAL = bool(flag)
 
 
 @contextmanager
@@ -75,18 +51,6 @@ def override(flag: bool) -> Iterator[None]:
         yield
     finally:
         _ENABLED = saved
-
-
-@contextmanager
-def override_incremental(flag: bool) -> Iterator[None]:
-    """Temporarily force the incremental sub-flag on or off."""
-    global _INCREMENTAL
-    saved = _INCREMENTAL
-    _INCREMENTAL = bool(flag)
-    try:
-        yield
-    finally:
-        _INCREMENTAL = saved
 
 
 class PerfStats:

@@ -71,7 +71,7 @@ def _derive_split_dfas(trail: Trail, edge: Edge) -> Tuple[DFA, DFA]:
 
     alphabet = trail.alphabet
     key = None
-    if runtime.incremental_enabled():
+    if runtime.enabled():
         from repro.perf.fingerprint import dfa_structure_key
 
         key = (dfa_structure_key(trail.dfa), frozenset(alphabet), edge)

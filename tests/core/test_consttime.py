@@ -1,8 +1,18 @@
-"""Constant-time checker tests: the TCF vs constant-time separation."""
+"""Constant-time checker tests: the TCF vs constant-time separation.
+
+These programs make no calls, so only the control-flow half of
+:func:`~repro.leakage.consttime.check_constant_time` can fire: the
+program is constant-time iff no reachable branch depends on high data.
+"""
 
 from repro.benchsuite import SUITE
 from repro.core import Blazer
-from repro.core.consttime import verify_constant_time
+from repro.leakage.consttime import check_constant_time
+from repro.leakage.model import instr_model
+
+
+def verify(blazer, proc):
+    return check_constant_time(blazer, proc, instr_model())
 
 
 class TestConstantTime:
@@ -16,14 +26,14 @@ class TestConstantTime:
             }
             """
         )
-        verdict = verify_constant_time(blazer, "f")
+        verdict = verify(blazer, "f")
         assert verdict.constant_time
 
     def test_secret_branch_breaks_constant_time(self):
         blazer = Blazer.from_source(
             "proc f(secret h: int): int { if (h > 0) { return 1; } return 2; }"
         )
-        verdict = verify_constant_time(blazer, "f")
+        verdict = verify(blazer, "f")
         assert not verdict.constant_time
         assert verdict.offending_branches
 
@@ -40,7 +50,7 @@ class TestConstantTime:
             }
             """
         )
-        verdict = verify_constant_time(blazer, "f")
+        verdict = verify(blazer, "f")
         assert verdict.constant_time
 
     def test_tcf_strictly_weaker_than_constant_time(self):
@@ -49,12 +59,13 @@ class TestConstantTime:
         bench = SUITE.get("modPow1_safe")
         blazer = bench.analyzer()
         assert blazer.analyze(bench.proc).status == "safe"  # TCF holds
-        ct = verify_constant_time(blazer, bench.proc)
+        ct = verify(blazer, bench.proc)
         assert not ct.constant_time  # but constant-time fails
+        assert ct.offending_branches  # on its secret branches
 
     def test_render(self):
         blazer = Blazer.from_source(
             "proc f(secret h: int): int { if (h > 0) { return 1; } return 2; }"
         )
-        text = verify_constant_time(blazer, "f").render()
+        text = verify(blazer, "f").render()
         assert "NOT constant-time" in text

@@ -2,7 +2,7 @@
 
 from repro.perf import runtime
 from repro.perf.cache import AnalysisCache
-from repro.trails import Trail
+from repro.trails import OccurrenceSplit, Trail
 from tests.helpers import COUNT_LOOP, compile_one
 
 
@@ -56,11 +56,16 @@ class TestAnalysisCache:
         assert calls == [1, 2]
         assert len(cache) == 0
 
-    def test_derived_category_keys(self):
+    def test_bound_result_keys_by_fingerprint(self):
+        cfg = compile_one(COUNT_LOOP, "count")
+        trail = Trail.most_general(cfg)
+        child = OccurrenceSplit().split(trail, cfg.branch_blocks()[0], "t")[0]
+        assert child.fingerprint() != trail.fingerprint()
         cache = AnalysisCache(stats=runtime.PerfStats())
         with runtime.override(True):
-            a = cache.derived("cat", ("k",), lambda: [1])
-            b = cache.derived("cat", ("k",), lambda: [2])
-            c = cache.derived("other", ("k",), lambda: [3])
+            a = cache.bound_result(trail, lambda: [1])
+            b = cache.bound_result(trail, lambda: [2])
+            c = cache.bound_result(child, lambda: [3])
         assert a is b
         assert c == [3]
+        assert len(cache) == 2

@@ -13,7 +13,7 @@ import pytest
 from repro.core.blazer import Blazer, BlazerConfig
 from repro.core.observer import DomainThresholdObserver
 from repro.core.report import verdict_digest
-from repro.domains import DOMAINS
+from repro.domains import DOMAINS, dbm
 from repro.perf import incremental, runtime
 from repro.perf.fingerprint import (
     dfa_structure_key,
@@ -105,7 +105,7 @@ class TestLineageFingerprint:
         # parents' lineages differ even though the trail contents agree.
         cfg = compile_one(TWO_BRANCHES, "main")
         via_a, via_b = _routes(cfg)
-        with runtime.override_incremental(True):
+        with runtime.override(True):
             incremental.publish_loop_artifacts(via_a, {("k",): "artifact"})
             assert incremental.lineage_artifacts(
                 via_a.lineage_fingerprint()
@@ -130,28 +130,39 @@ class TestDeltaTouches:
 
 class TestGating:
     def test_off_path_populates_no_incremental_tables(self):
-        with runtime.override_incremental(False):
-            blazer = Blazer.from_source(GUARDED_PLUS_DISJOINT, BlazerConfig())
-            blazer.analyze("main")
-            for table in (
-                incremental.LINEAGE_TABLE,
-                incremental.ITERBOUND_TABLE,
-                incremental.SHARED_BOUND_TABLE,
-                incremental.UNRESTRICTED_TABLE,
-                incremental.PROC_BOUNDS_TABLE,
-            ):
-                assert runtime.memo_table(table) == {}, table
+        # The seed engine touches no memo of the perf layer: no
+        # process-wide table (the incremental tiers among them), no
+        # interned DBM row, no per-CFG memo.
+        dbm.clear_interned()
+        blazer = Blazer.from_source(
+            GUARDED_PLUS_DISJOINT, BlazerConfig(cache=False)
+        )
+        blazer.analyze("main")
+        for name, table in runtime._TABLES.items():
+            assert table == {}, name
+        for table in (
+            incremental.LINEAGE_TABLE,
+            incremental.ITERBOUND_TABLE,
+            incremental.SHARED_BOUND_TABLE,
+            incremental.UNRESTRICTED_TABLE,
+            incremental.PROC_BOUNDS_TABLE,
+        ):
+            assert runtime.memo_table(table) == {}, table
+        assert len(dbm._INTERN) == 0
+        for proc, cfg in blazer.cfgs.items():
+            assert not getattr(cfg, "_perf_memo", None), proc
 
     def test_config_knob_equals_process_flag(self):
-        on = Blazer.from_source(
-            GUARDED_PLUS_DISJOINT, BlazerConfig(incremental=True)
+        knob = Blazer.from_source(
+            GUARDED_PLUS_DISJOINT, BlazerConfig(cache=False)
         ).analyze("main")
-        runtime.clear_caches()
-        off = Blazer.from_source(
-            GUARDED_PLUS_DISJOINT, BlazerConfig(incremental=False)
-        ).analyze("main")
-        assert on.status == off.status
-        assert verdict_digest(on) == verdict_digest(off)
+        with runtime.override(False):
+            flag = Blazer.from_source(
+                GUARDED_PLUS_DISJOINT, BlazerConfig()
+            ).analyze("main")
+        assert knob.status == flag.status
+        assert verdict_digest(knob) == verdict_digest(flag)
+        assert knob.cache_stats == flag.cache_stats == {}
 
     def test_degraded_results_never_shared(self):
         class Degraded:
@@ -168,12 +179,12 @@ class TestGating:
 
 
 class TestReuseTiers:
-    def _refining_config(self, incremental=True):
+    def _refining_config(self, cache=True):
         # Small domains + tight threshold make the guarded-loop gap
         # wide, so the driver refines and the children probe their
         # parent's artifacts.
         return BlazerConfig(
-            incremental=incremental,
+            cache=cache,
             observer=DomainThresholdObserver(
                 threshold=8, domains={"h": (0, 1), "l": (0, 1, 2, 3, 4)}
             ),
@@ -189,15 +200,14 @@ class TestReuseTiers:
         # The guarded loop itself is dirty (its header is the split
         # constructor), so the plane must have skipped it explicitly.
         assert verdict.cache_events.get("refine.dirty", 0) > 0
-        # And the reuse changed nothing: same digest as the off path.
-        runtime.clear_caches()
+        # And the reuse changed nothing: same digest as the seed engine.
         scratch = Blazer.from_source(
-            GUARDED_PLUS_DISJOINT, self._refining_config(incremental=False)
+            GUARDED_PLUS_DISJOINT, self._refining_config(cache=False)
         ).analyze("main")
         assert verdict_digest(verdict) == verdict_digest(scratch)
 
     def test_shared_tier_across_driver_instances(self):
-        config = BlazerConfig(incremental=True)
+        config = BlazerConfig(cache=True)
         first = Blazer.from_source(GUARDED_PLUS_DISJOINT, config).analyze("main")
         second_driver = Blazer.from_source(GUARDED_PLUS_DISJOINT, config)
         second = second_driver.analyze("main")
@@ -208,12 +218,11 @@ class TestReuseTiers:
     def test_scope_isolation_between_programs(self):
         # Same shape, different constant: scope keys differ, so the
         # shared tier must answer from scratch (no cross-program hits)
-        # and still produce the off-path digest.
+        # and still produce the seed engine's digest.
         other = GUARDED_PLUS_DISJOINT.replace("acc + 1", "acc + 3")
-        Blazer.from_source(GUARDED_PLUS_DISJOINT, BlazerConfig(incremental=True)).analyze("main")
-        verdict = Blazer.from_source(other, BlazerConfig(incremental=True)).analyze("main")
-        runtime.clear_caches()
-        scratch = Blazer.from_source(other, BlazerConfig(incremental=False)).analyze("main")
+        Blazer.from_source(GUARDED_PLUS_DISJOINT, BlazerConfig(cache=True)).analyze("main")
+        verdict = Blazer.from_source(other, BlazerConfig(cache=True)).analyze("main")
+        scratch = Blazer.from_source(other, BlazerConfig(cache=False)).analyze("main")
         assert verdict_digest(verdict) == verdict_digest(scratch)
 
     def test_structure_key_distinguishes_renumbered_dfas(self):

@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro.perf import pool as pool_mod
-from repro.perf.parallel import default_jobs, thread_map_chunked
+from repro.perf.parallel import default_jobs
 from repro.perf.pool import (
     WarmPool,
     chunk_size_for,
@@ -126,22 +126,6 @@ class TestSharedPool:
         pool = shared_pool(2)
         pool.prewarm()  # must not raise, must leave the pool usable
         assert pool.map_chunked(_square, [5]) == [25]
-
-
-class TestThreadMapChunked:
-    def test_matches_serial(self):
-        assert thread_map_chunked(_square, range(23), jobs=4) == [
-            x * x for x in range(23)
-        ]
-
-    def test_serial_path_for_one_job(self):
-        assert thread_map_chunked(_square, range(5), jobs=1) == [
-            x * x for x in range(5)
-        ]
-
-    def test_fail_fast(self):
-        with pytest.raises(ValueError, match="boom"):
-            thread_map_chunked(_square_or_boom, range(6), jobs=3, chunk_size=1)
 
 
 class TestRunnerWarmPath:

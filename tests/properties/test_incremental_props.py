@@ -1,8 +1,9 @@
 """Differential battery of the incremental re-analysis plane.
 
-Every generated program is analyzed twice — incremental plane on and
-off — and the two runs must agree byte-for-byte at every refinement
-round (docs/PERFORMANCE.md).  The acceptance sweep covers 300 seeded
+Every generated program is analyzed twice — by the memoized engine
+(incremental plane included) and by the perf-off seed engine — and the
+two runs must agree byte-for-byte at every refinement round
+(docs/PERFORMANCE.md).  The acceptance sweep covers 300 seeded
 programs serially; a prefix re-runs under ``--jobs 4`` on the same
 pool machinery as the diffcheck campaign and must reproduce the serial
 digests program-for-program.

@@ -23,63 +23,68 @@ class TestEntryDigest:
         assert entry_digest([1, 2]) != entry_digest([1, 3])
 
 
+class FakeTrail:
+    """A trail-like key: ``bound_result`` only asks for a fingerprint."""
+
+    def fingerprint(self):
+        return "fp"
+
+
+TRAIL = FakeTrail()
+
+
 class TestQuarantine:
     def test_clean_entries_hit(self):
         with runtime.override(True):
             cache = AnalysisCache()
-            assert cache.derived("cat", ("k",), lambda: [1]) == [1]
-            assert cache.derived("cat", ("k",), lambda: [2]) == [1]
+            assert cache.bound_result(TRAIL, lambda: [1]) == [1]
+            assert cache.bound_result(TRAIL, lambda: [2]) == [1]
             assert cache.quarantined == 0
 
     def test_mutated_entry_is_quarantined_and_recomputed(self):
         with runtime.override(True):
             cache = AnalysisCache()
-            value = cache.derived("cat", ("k",), lambda: [1, 2])
+            value = cache.bound_result(TRAIL, lambda: [1, 2])
             value.append(99)  # corrupt the supposedly-immutable entry
-            healed = cache.derived("cat", ("k",), lambda: ["fresh"])
+            healed = cache.bound_result(TRAIL, lambda: ["fresh"])
             assert healed == ["fresh"]
             assert cache.quarantined == 1
             # The recomputed entry is healthy again.
-            assert cache.derived("cat", ("k",), lambda: ["newer"]) == ["fresh"]
+            assert cache.bound_result(TRAIL, lambda: ["newer"]) == ["fresh"]
             assert cache.quarantined == 1
 
     def test_injected_corruption_is_quarantined(self):
         with runtime.override(True):
             cache = AnalysisCache()
-            cache.derived("cat", ("k",), lambda: "v")
+            cache.bound_result(TRAIL, lambda: "v")
             faults.install(FaultPlan([parse_spec("cache.get:corrupt")]))
-            assert cache.derived("cat", ("k",), lambda: "recomputed") == "recomputed"
+            assert cache.bound_result(TRAIL, lambda: "recomputed") == "recomputed"
             assert cache.quarantined == 1
 
     def test_quarantine_counts_to_stats_event(self):
         with runtime.override(True):
             before = runtime.STATS.events_snapshot()
             cache = AnalysisCache()
-            cache.derived("cat", ("k",), lambda: "v")
+            cache.bound_result(TRAIL, lambda: "v")
             faults.install(FaultPlan([parse_spec("cache.get:corrupt")]))
-            cache.derived("cat", ("k",), lambda: "recomputed")
+            cache.bound_result(TRAIL, lambda: "recomputed")
             delta = runtime.STATS.events_delta(before)
             assert delta.get("cache.quarantine") == 1
 
     def test_bound_result_path_heals_too(self):
-        class FakeTrail:
-            def fingerprint(self):
-                return "fp"
-
         with runtime.override(True):
             cache = AnalysisCache()
-            trail = FakeTrail()
-            assert cache.bound_result(trail, lambda: [10]) == [10]
-            assert cache.bound_result(trail, lambda: [20]) == [10]  # clean hit
+            assert cache.bound_result(TRAIL, lambda: [10]) == [10]
+            assert cache.bound_result(TRAIL, lambda: [20]) == [10]  # clean hit
             cache._bounds["fp"][0].append(1)  # corrupt it
-            assert cache.bound_result(trail, lambda: [30]) == [30]
+            assert cache.bound_result(TRAIL, lambda: [30]) == [30]
             assert cache.quarantined == 1
 
     def test_disabled_runtime_bypasses_cache_and_checks(self):
         with runtime.override(False):
             cache = AnalysisCache()
-            assert cache.derived("cat", ("k",), lambda: [1]) == [1]
-            assert cache.derived("cat", ("k",), lambda: [2]) == [2]
+            assert cache.bound_result(TRAIL, lambda: [1]) == [1]
+            assert cache.bound_result(TRAIL, lambda: [2]) == [2]
             assert len(cache) == 0
 
 
@@ -88,9 +93,9 @@ class TestClearResetsQuarantine:
         with runtime.override(True):
             stats = runtime.PerfStats()
             cache = AnalysisCache(stats=stats)
-            cache.derived("cat", ("k",), lambda: "v")
+            cache.bound_result(TRAIL, lambda: "v")
             faults.install(FaultPlan([parse_spec("cache.get:corrupt")]))
-            cache.derived("cat", ("k",), lambda: "recomputed")
+            cache.bound_result(TRAIL, lambda: "recomputed")
             faults.clear()
             assert cache.quarantined == 1
             assert stats.events_snapshot().get("cache.quarantine") == 1
@@ -114,10 +119,10 @@ class TestClearResetsQuarantine:
             first = AnalysisCache(stats=stats)
             second = AnalysisCache(stats=stats)
             for cache in (first, second):
-                cache.derived("cat", ("k",), lambda: "v")
+                cache.bound_result(TRAIL, lambda: "v")
             faults.install(FaultPlan([parse_spec("cache.get:corrupt@1+")]))
             for cache in (first, second):
-                cache.derived("cat", ("k",), lambda: "recomputed")
+                cache.bound_result(TRAIL, lambda: "recomputed")
             faults.clear()
             assert stats.events_snapshot().get("cache.quarantine") == 2
             first.clear()
@@ -129,10 +134,6 @@ class TestClearResetsQuarantine:
 
 
 class TestDiskBackedBounds:
-    class FakeTrail:
-        def fingerprint(self):
-            return "fp"
-
     def test_disk_hit_across_cache_instances(self, tmp_path):
         from repro.perf.disktier import DiskTier
 
@@ -140,11 +141,11 @@ class TestDiskBackedBounds:
         with runtime.override(True):
             stats = runtime.PerfStats()
             warm = AnalysisCache(stats=stats, disk=DiskTier(path, stats=stats))
-            assert warm.bound_result(self.FakeTrail(), lambda: [10]) == [10]
+            assert warm.bound_result(TRAIL, lambda: [10]) == [10]
             # A fresh cache (fresh driver, maybe a fresh process) warms
             # up from the shared disk tier instead of recomputing.
             cold = AnalysisCache(stats=stats, disk=DiskTier(path, stats=stats))
-            assert cold.bound_result(self.FakeTrail(), lambda: ["MISS"]) == [10]
+            assert cold.bound_result(TRAIL, lambda: ["MISS"]) == [10]
             snap = stats.snapshot()
             # One disk miss (the cold write) and one disk hit (the warm read).
             assert snap["bound.disk"] == (1, 1)
@@ -161,16 +162,16 @@ class TestDiskBackedBounds:
             zone = AnalysisCache(
                 stats=stats, disk=DiskTier(path, stats=stats), disk_scope="scope-A"
             )
-            assert zone.bound_result(self.FakeTrail(), lambda: ["A"]) == ["A"]
+            assert zone.bound_result(TRAIL, lambda: ["A"]) == ["A"]
             other = AnalysisCache(
                 stats=stats, disk=DiskTier(path, stats=stats), disk_scope="scope-B"
             )
-            assert other.bound_result(self.FakeTrail(), lambda: ["B"]) == ["B"]
+            assert other.bound_result(TRAIL, lambda: ["B"]) == ["B"]
             # Same scope still warms up across instances.
             warm = AnalysisCache(
                 stats=stats, disk=DiskTier(path, stats=stats), disk_scope="scope-A"
             )
-            assert warm.bound_result(self.FakeTrail(), lambda: ["MISS"]) == ["A"]
+            assert warm.bound_result(TRAIL, lambda: ["MISS"]) == ["A"]
 
     def test_degraded_bound_results_never_persist(self, tmp_path):
         """A ⊤ substitute after budget exhaustion describes a deadline,
@@ -188,10 +189,10 @@ class TestDiskBackedBounds:
             stats = runtime.PerfStats()
             tier = DiskTier(path, stats=stats)
             cache = AnalysisCache(stats=stats, disk=tier)
-            assert cache.bound_result(self.FakeTrail(), lambda: degraded) is degraded
+            assert cache.bound_result(TRAIL, lambda: degraded) is degraded
             assert len(tier) == 0  # nothing written
             fresh = AnalysisCache(stats=stats, disk=DiskTier(path, stats=stats))
-            assert fresh.bound_result(self.FakeTrail(), lambda: "clean") == "clean"
+            assert fresh.bound_result(TRAIL, lambda: "clean") == "clean"
 
     def test_clear_leaves_disk_tier_alone(self, tmp_path):
         from repro.perf.disktier import DiskTier
@@ -200,9 +201,9 @@ class TestDiskBackedBounds:
         with runtime.override(True):
             stats = runtime.PerfStats()
             cache = AnalysisCache(stats=stats, disk=DiskTier(path, stats=stats))
-            cache.bound_result(self.FakeTrail(), lambda: [10])
+            cache.bound_result(TRAIL, lambda: [10])
             cache.clear()
             assert len(cache) == 0
             # The persistent tier outlives the driver by design.
             again = AnalysisCache(stats=stats, disk=DiskTier(path, stats=stats))
-            assert again.bound_result(self.FakeTrail(), lambda: ["MISS"]) == [10]
+            assert again.bound_result(TRAIL, lambda: ["MISS"]) == [10]

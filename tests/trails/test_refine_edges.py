@@ -83,15 +83,14 @@ def _reaches_back(cfg, start, target):
     return False
 
 
-def _analyze(cfg, trail, incremental):
-    with runtime.override_incremental(incremental):
+def _analyze(cfg, trail, perf):
+    with runtime.override(perf):
         return compute_bound(cfg, ZONE, trail_dfa=trail.dfa, trail=trail)
 
 
 def _assert_equivalent(cfg, children):
-    """Each child bound incremental == scratch, on cold scratch tables."""
+    """Each child bound incremental == the seed engine's."""
     incremental = [_analyze(cfg, child, True) for child in children]
-    runtime.clear_caches()
     scratch = [_analyze(cfg, child, False) for child in children]
     for inc, scr in zip(incremental, scratch):
         assert inc.feasible == scr.feasible
@@ -124,7 +123,6 @@ class TestLoopHeaderSplit:
         children = OccurrenceSplit().split_on_edge(trail, header, taken, "sec")
         without = next(c for c in children if not c.splits[-1].polarity)
         inc = _analyze(cfg, without, True)
-        runtime.clear_caches()
         scr = _analyze(cfg, without, False)
         assert inc.feasible and scr.feasible
         assert _bound_dict(inc) == _bound_dict(scr)
@@ -181,11 +179,10 @@ class TestBackToBackSplits:
         trail = Trail.most_general(cfg)
         header = _loop_header_block(cfg)
         taken, _ = cfg.branch_edges(header)
-        with runtime.override_incremental(True):
+        with runtime.override(True):
             child = OccurrenceSplit().split_on_edge(trail, header, taken, "sec")[0]
             assert OccurrenceSplit().split_on_edge(child, header, taken, "sec") == []
-        runtime.clear_caches()
-        with runtime.override_incremental(False):
+        with runtime.override(False):
             child_off = OccurrenceSplit().split_on_edge(trail, header, taken, "sec")[0]
             assert (
                 OccurrenceSplit().split_on_edge(child_off, header, taken, "sec")
@@ -202,7 +199,7 @@ class TestBackToBackSplits:
         first, second = cfg.branch_blocks()[:2]
         edge1 = cfg.branch_edges(first)[0]
         edge2 = cfg.branch_edges(second)[0]
-        with runtime.override_incremental(True):
+        with runtime.override(True):
             before = runtime.STATS.snapshot()
             child = OccurrenceSplit().split_on_edge(trail, first, edge1, "taint")[0]
             OccurrenceSplit().split_on_edge(child, second, edge2, "taint")
@@ -222,14 +219,11 @@ class TestBackToBackSplits:
 class TestDriverEquivalenceOnEdgeCases:
     @pytest.mark.parametrize("source", [LOOP_HEADER, CONTRADICTION])
     def test_driver_digests_match(self, source):
-        def run(incremental):
-            blazer = Blazer.from_source(
-                source, BlazerConfig(incremental=incremental)
-            )
+        def run(cache):
+            blazer = Blazer.from_source(source, BlazerConfig(cache=cache))
             return blazer.analyze("main")
 
         inc = run(True)
-        runtime.clear_caches()
         scr = run(False)
         assert inc.status == scr.status
         assert verdict_digest(inc) == verdict_digest(scr)
