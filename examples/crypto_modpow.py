@@ -61,12 +61,13 @@ def timing_demo() -> None:
 
 def constant_time_comparison() -> None:
     """TCF is strictly weaker than constant-time (related work, §7)."""
-    from repro.core.consttime import verify_constant_time
+    from repro.leakage.consttime import check_constant_time
+    from repro.leakage.model import instr_model
 
     bench = SUITE.get("modPow1_safe")
     blazer = bench.analyzer()
     tcf_verdict = blazer.analyze(bench.proc)
-    ct_verdict = verify_constant_time(blazer, bench.proc)
+    ct_verdict = check_constant_time(blazer, bench.proc, instr_model())
     print()
     print("-- TCF vs constant-time " + "-" * 45)
     print("modPow1_safe TCF verdict: %s" % tcf_verdict.status.upper())
