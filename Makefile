@@ -55,8 +55,9 @@ bench-leakage:
 	$(PYTHON) benchmarks/bench_leakage.py
 
 # Perf gate (docs/PERFORMANCE.md): the MicroBench group serial (perf
-# off) and warm-pool parallel (perf on); asserts total speedup >= 1.0
-# and byte-identical digests.  Well under 90 s.
+# off) and warm-pool parallel (perf on); asserts verdicts and
+# byte-identical digests.  The speedup it prints is a sub-second
+# warm-replay ratio and gates nothing.  Well under 90 s.
 perf-smoke:
 	$(PYTHON) benchmarks/bench_perf.py --quick --output /tmp/bench_quick.json
 

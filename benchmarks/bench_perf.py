@@ -26,13 +26,12 @@ an answer while warming is caught here, not in production.
 Usage::
 
     python benchmarks/bench_perf.py [--jobs N] [--repeat N] [--output PATH]
-    python benchmarks/bench_perf.py --quick     # CI smoke: 6 MicroBench
-                                                # pairs, --jobs 2, asserts
-                                                # total speedup >= 1.0
+    python benchmarks/bench_perf.py --quick     # CI smoke: MicroBench
+                                                # only, --jobs 2, verdict
+                                                # and digest gates only
 
 Exit status is non-zero on any verdict mismatch or digest divergence;
-additionally in ``--quick`` mode when the total speedup falls below
-1.0, and in full mode when any *single* benchmark's speedup falls
+additionally, in full mode only, when any *single* benchmark's speedup falls
 below 1.0, any **refinement-heavy** row (>= 3 partition leaves, where
 the incremental re-analysis plane reuses parent fixpoints) falls below
 1.3x, or the serial baseline wall regresses more than 20% against the
@@ -40,6 +39,9 @@ committed ``BENCH_table1.json`` (the previous report is read for its
 reference wall before being overwritten).  Every row also publishes
 its refinement-reuse column — ``refine_reuse_hits`` / ``_misses`` /
 ``_hit_rate``, the parent-artifact serves behind that speedup.
+``--quick`` prints its speedup but gates nothing on it: the MicroBench
+rows are about 0.1 s of serial work against a warm-cache replay, so the
+ratio is noise; the perf-on/perf-off digest equality is what it checks.
 
 Resilience (docs/RESILIENCE.md): both runs default to ``--retries 2``,
 so an injected or real worker crash is retried on the serial backend
@@ -247,7 +249,7 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke: MicroBench only, --jobs 2, assert total speedup >= 1.0",
+        help="CI smoke: MicroBench only, --jobs 2, no timing gates",
     )
     parser.add_argument(
         "--retries",
@@ -364,12 +366,6 @@ def main() -> int:
                 file=sys.stderr,
             )
             failed = True
-    if timing_gates and args.quick and speedup is not None and speedup < 1.0:
-        print(
-            "FAIL: quick-mode speedup %.2fx is below 1.0x" % speedup,
-            file=sys.stderr,
-        )
-        failed = True
     if timing_gates and not args.quick:
         slow = [
             r["name"]

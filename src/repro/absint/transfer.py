@@ -106,9 +106,9 @@ class TransferFunctions:
         if runtime.enabled():
             key_fn = getattr(state, "cache_key", None)
             if key_fn is not None:
-                memo = runtime.cfg_memo(self._cfg).setdefault("transfer", {})
-                if len(memo) > runtime.TABLE_LIMIT:
-                    memo.clear()
+                memo = runtime.bounded(
+                    "transfer", runtime.cfg_memo(self._cfg).setdefault("transfer", {})
+                )
                 key = (block_id, key_fn())
                 entry = memo.get(key)
                 # Summary registries are compared by identity: a different

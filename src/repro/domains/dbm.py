@@ -38,6 +38,8 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.perf import runtime
+
 INF = float("inf")
 NEG_INF = float("-inf")
 
@@ -78,12 +80,19 @@ def _observe_closure(kernel: str, seconds: float) -> None:
 
 
 def fw_close_rows(m: Rows, n: int) -> bool:
-    """In-place Floyd–Warshall closure of an ``INF``-encoded DBM.
+    """Floyd–Warshall closure of an ``INF``-encoded DBM, in place on the
+    outer list ``m``.
 
     Returns False when the system is inconsistent (a negative diagonal
     entry appears, i.e. a negative cycle exists); otherwise normalizes
     the diagonal to ``0`` and returns True.  Exactly the shortest-path
     matrix the reference loop computes.
+
+    Rows are replaced, never written into, so ``m`` may be a shallow
+    copy whose rows are shared with published states.  A row is rebuilt
+    at sweep ``k = i`` whenever its diagonal is finite, so only a row
+    with an ``INF`` diagonal can reach the normalization unrebuilt; that
+    row is copied before its diagonal is written.
     """
     timed = _obs_enabled()
     start = perf_counter() if timed else 0.0
@@ -99,18 +108,22 @@ def fw_close_rows(m: Rows, n: int) -> bool:
                     m[i] = list(map(min, row_i, row_k))
     ok = True
     for i in range(n):
-        if m[i][i] < 0:
+        row_i = m[i]
+        if row_i[i] < 0:
             ok = False
             break
-        m[i][i] = 0
+        if row_i[i] == INF:
+            m[i] = row_i = row_i[:]
+        row_i[i] = 0
     if timed:
         _observe_closure("fw", perf_counter() - start)
     return ok
 
 
 def tighten_rows(m: Rows, n: int, a: int, b: int, c) -> None:
-    """In-place incremental closure of a *closed* ``INF``-encoded DBM
-    after tightening one entry to ``v_a - v_b <= c``.
+    """Incremental closure of a *closed* ``INF``-encoded DBM after
+    tightening one entry to ``v_a - v_b <= c``, in place on the outer
+    list ``m``.
 
     For a closed matrix the closure of the tightened system is
     ``min(m[i][j], m[i][a] + c + m[b][j])`` — every path either avoids
@@ -118,12 +131,18 @@ def tighten_rows(m: Rows, n: int, a: int, b: int, c) -> None:
     consistency (``m[b][a] + c >= 0``) and that the update actually
     tightens (``c < m[a][b]``).  O(n²).
 
+    The rows of ``m`` may be shared with published states: the kernel
+    replaces the rows it changes and never writes into one.  The caller
+    must not write into a shared row either — in particular it must not
+    pre-write ``m[a][b] = c``, which would change the state that holds
+    the row.  No pre-write is needed: row ``a`` picks the new bound up
+    as ``min(m[a][b], m[a][a] + c + m[b][b]) = c``.
+
     Row-skip invariant: a row ``i != a`` with ``m[i][a] + c >= m[i][b]``
     cannot change, because closure gives ``m[i][j] <= m[i][b] + m[b][j]
     <= m[i][a] + c + m[b][j]`` for every ``j``; such rows are left alone
-    (same list object).  Row ``a`` is always rebuilt: the caller may
-    have pre-written ``m[a][b] = c``, which breaks closure on that row
-    only.  Row ``b`` is always skipped by the consistency condition.
+    (same list object).  Row ``a`` is always rebuilt.  Row ``b`` is
+    always skipped by the consistency condition.
     """
     timed = _obs_enabled()
     start = perf_counter() if timed else 0.0
@@ -258,9 +277,7 @@ def intern_rows(key: object, m: Rows) -> Rows:
     key) share one row-list object, so sibling trails that converge on
     the same invariant also share the per-instance closure caches hung
     off it downstream.  Bounded; wholesale-cleared at the limit."""
-    if len(_INTERN) >= _INTERN_LIMIT:
-        _INTERN.clear()
-    return _INTERN.setdefault(key, m)
+    return runtime.bounded("dbm.intern", _INTERN, _INTERN_LIMIT).setdefault(key, m)
 
 
 def clear_interned() -> None:

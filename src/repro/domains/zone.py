@@ -21,13 +21,24 @@ Widening keeps stable bounds and drops unstable ones; following the
 standard recipe, the result of widening is *not* closed (closing it
 could un-do the widening and break termination), so closure is applied
 lazily on queries.
+
+Shared rows: a row is never written once a state holds it.  Each
+operation builds a new outer list that shares every row it leaves
+unchanged — ``_tightened`` the rows ``tighten_rows`` skips,
+``_assigned_eq``/``forget``/the shift every row whose column-``x``
+entry keeps its value and type (:func:`_set_column`), ``join`` and
+``widen`` every row equal to (or stable against) its partner — and
+replaces the rows it changes.  The entries are exactly those a full
+copy would hold, so sharing saves memory and copying, never changes a
+result (docs/PERFORMANCE.md, "Shared rows").
 """
 
 from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import le
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.domains import dbm
 from repro.domains.base import AbstractState, Bound, Domain
@@ -40,6 +51,7 @@ Matrix = List[List[object]]
 
 
 _INDEX_CACHE: Dict[Tuple[str, ...], Dict[str, int]] = {}
+_INDEX_LIMIT = 10_000
 
 
 def _index_for(variables: Sequence[str]) -> Dict[str, int]:
@@ -49,11 +61,28 @@ def _index_for(variables: Sequence[str]) -> Dict[str, int]:
     key = tuple(variables)
     index = _INDEX_CACHE.get(key)
     if index is None:
-        if len(_INDEX_CACHE) >= 10_000:
-            _INDEX_CACHE.clear()
         index = {v: i + 1 for i, v in enumerate(key)}
-        _INDEX_CACHE[key] = index
+        runtime.bounded("zone.index", _INDEX_CACHE, _INDEX_LIMIT)[key] = index
     return index
+
+
+def _set_column(m: Matrix, x: int, entry: Callable[[List[object]], object]) -> None:
+    """Set ``m[i][x] = entry(m[i])`` for every row ``i != x`` (the caller
+    replaces row ``x`` itself), copying only the rows whose entry changes.
+
+    A row whose entry keeps its value and its ``int``/``Fraction``/``INF``
+    type stays the same list object, shared with the state ``m`` was
+    copied from: published rows are never written into.
+    """
+    for i, row in enumerate(m):
+        if i == x:
+            continue
+        old = row[x]
+        new = entry(row)
+        if new != old or type(new) is not type(old):
+            row = row[:]
+            row[x] = new
+            m[i] = row
 
 
 class ZoneState(AbstractState):
@@ -102,9 +131,6 @@ class ZoneState(AbstractState):
         return state
 
     # -- plumbing ------------------------------------------------------------
-
-    def _copy_matrix(self) -> Matrix:
-        return [row[:] for row in self._m]
 
     def _dim(self) -> int:
         return len(self._vars) + 1
@@ -213,7 +239,7 @@ class ZoneState(AbstractState):
 
     def _close_full(self) -> "ZoneState":
         n = self._dim()
-        m = self._copy_matrix()
+        m = list(self._m)  # the kernel replaces rows, never writes into them
         if not dbm.fw_close_rows(m, n):
             return ZoneState(self._vars, None, bottom=True, closed=True)
         return ZoneState(self._vars, m, False, closed=True)
@@ -244,7 +270,9 @@ class ZoneState(AbstractState):
             return base
         # Copy lazily: re-applying an already-satisfied constraint (the
         # common case when a loop guard is re-evaluated at a fixpoint)
-        # touches nothing, so the no-op path allocates nothing.
+        # touches nothing, so the no-op path allocates nothing.  The copy
+        # is of the outer list only: ``tighten_rows`` replaces the rows
+        # it changes, and the result shares every other row with ``base``.
         m: Optional[Matrix] = None
         n = base._dim()
         for a, b, c in updates:
@@ -257,7 +285,7 @@ class ZoneState(AbstractState):
             if src[b][a] + c < 0:
                 return ZoneState(base._vars, None, bottom=True, closed=True)
             if m is None:
-                m = base._copy_matrix()
+                m = list(base._m)
             dbm.tighten_rows(m, n, a, b, c)
         if m is None:
             return base
@@ -275,16 +303,16 @@ class ZoneState(AbstractState):
         edges, and entries not involving ``x`` are already shortest
         (hacking through ``x`` adds the zero-weight cycle ``y→x→y``).
         O(n) instead of two O(n²) tightening sweeps; entry-wise identical
-        to what ``forget`` + ``_tightened`` produce.
+        to what ``forget`` + ``_tightened`` produce.  Rows whose column-x
+        entry keeps its value are shared with this state.
         """
         base = self if self._closed else self._close()
         if base._bottom:
             return base
-        m = base._copy_matrix()
+        m = list(base._m)
         row_x = [v + c for v in m[y]]
         row_x[x] = 0
-        for row in m:
-            row[x] = row[y] - c
+        _set_column(m, x, lambda row: row[y] - c)
         m[x] = row_x
         return ZoneState(base._vars, m, False, closed=True)
 
@@ -325,12 +353,14 @@ class ZoneState(AbstractState):
             return a  # identity fast path: join with itself
         a, b = a._aligned(b)
         a, b = a._close(), b._close()
-        if a._m == b._m:
+        if a._m is b._m or a._m == b._m:
             # Identity fast path: equal closed matrices (the common case
             # at a fixpoint) — the entry-wise max IS either operand.
             return a
         matrix: Matrix = [
-            row_a if row_a == row_b else list(map(max, row_a, row_b))
+            row_a
+            if row_a is row_b or row_a == row_b
+            else list(map(max, row_a, row_b))
             for row_a, row_b in zip(a._m, b._m)
         ]
         return ZoneState(a._vars, matrix, False, closed=True)
@@ -344,14 +374,18 @@ class ZoneState(AbstractState):
             return old
         old, new = old._aligned(new)
         old, new = old._close(), new._close()
-        n = old._dim()
-        matrix: Matrix = [
+        matrix: Matrix = []
+        for i, (row_o, row_n) in enumerate(zip(old._m, new._m)):
+            if row_o is row_n or all(map(le, row_n, row_o)):
+                # Every bound of the row is stable: the widened row IS
+                # ``row_o`` (whose diagonal is already 0: ``old`` is
+                # closed), so it is shared, not rebuilt.
+                matrix.append(row_o)
+                continue
             # Keep stable bounds; drop bounds the new state exceeds.
-            [o if (o != INF and w <= o) else INF for o, w in zip(row_o, row_n)]
-            for row_o, row_n in zip(old._m, new._m)
-        ]
-        for i in range(n):
-            matrix[i][i] = 0
+            row = [o if (o != INF and w <= o) else INF for o, w in zip(row_o, row_n)]
+            row[i] = 0
+            matrix.append(row)
         # NOT closed: closing a widened zone can reintroduce dropped
         # bounds and break termination.
         return ZoneState(old._vars, matrix, False, closed=False)
@@ -381,7 +415,7 @@ class ZoneState(AbstractState):
         a, b = a._aligned(b)
         a, b = a._close(), b._close()
         for row_a, row_b in zip(a._m, b._m):
-            if row_a == row_b:
+            if row_a is row_b or row_a == row_b:
                 continue  # equal rows cannot violate the ordering
             for x, y in zip(row_a, row_b):
                 if x > y:
@@ -408,13 +442,11 @@ class ZoneState(AbstractState):
             if coeff == 1 and src == var:
                 # var := var + c : shift the row/column.
                 c = expr.const
-                m = state._copy_matrix()
-                n = state._dim()
-                row_x = m[x]
-                for j in range(n):
-                    if j != x:
-                        row_x[j] = row_x[j] + c
-                        m[j][x] = m[j][x] - c
+                m = list(state._m)
+                row_x = [v + c for v in m[x]]
+                row_x[x] = m[x][x]
+                _set_column(m, x, lambda row: row[x] - c)
+                m[x] = row_x
                 return ZoneState(state._vars, m, False, closed=True)
             if coeff == 1 and src != var:
                 # var := src + c
@@ -498,14 +530,12 @@ class ZoneState(AbstractState):
         state = self._close()
         if state._bottom:
             return state
-        m = state._copy_matrix()
+        m = list(state._m)
         x = state._index[var]
-        n = state._dim()
-        row_x = m[x]
-        for j in range(n):
-            row_x[j] = INF
-            m[j][x] = INF
+        row_x: List[object] = [INF] * state._dim()
         row_x[x] = 0
+        _set_column(m, x, lambda row: INF)
+        m[x] = row_x
         return ZoneState(state._vars, m, False, closed=True)
 
     # -- queries -----------------------------------------------------------------------

@@ -18,18 +18,22 @@ Design rules
   category; callers that want a per-task view (the Blazer driver)
   snapshot before and diff after.
 * **Tables are bounded.**  Every memo table obtained from
-  :func:`memo_table` is wholesale-cleared when it exceeds
-  ``TABLE_LIMIT`` entries — analyses are small, so this is a backstop
-  against pathological long-running processes, not an LRU policy.
+  :func:`memo_table` or :func:`cfg_memo` (and the transfer memo, the
+  interned DBMs and the zone index dicts) is wholesale-cleared by
+  :func:`bounded` once it holds its limit of entries — analyses are
+  small, so this is a backstop against pathological long-running
+  processes, not an LRU policy.  Each clear counts as the event
+  ``memo.clear.<table>``, so ``events_snapshot()`` shows how often
+  memoized work was thrown away.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
-# Hard cap per memo table; crossing it clears the table (cheap, rare).
+# Hard cap per memo table; reaching it clears the table (cheap, rare).
 TABLE_LIMIT = 100_000
 
 _ENABLED = os.environ.get("REPRO_PERF", "1") not in ("0", "false", "off")
@@ -151,14 +155,21 @@ STATS = PerfStats()
 _TABLES: Dict[str, dict] = {}
 
 
+def bounded(name: str, table: dict, limit: Optional[int] = None) -> dict:
+    """``table``, wholesale-cleared first if it holds ``limit`` entries
+    (default ``TABLE_LIMIT``); the clear counts as ``memo.clear.<name>``."""
+    if len(table) >= (TABLE_LIMIT if limit is None else limit):
+        table.clear()
+        STATS.event("memo.clear." + name)
+    return table
+
+
 def memo_table(name: str) -> dict:
     """A named process-wide memo table (created on first use)."""
     table = _TABLES.get(name)
     if table is None:
         table = _TABLES[name] = {}
-    elif len(table) > TABLE_LIMIT:
-        table.clear()
-    return table
+    return bounded(name, table)
 
 
 def clear_caches() -> None:
@@ -178,6 +189,4 @@ def cfg_memo(cfg) -> dict:
     if memo is None:
         memo = {}
         cfg._perf_memo = memo
-    elif len(memo) > TABLE_LIMIT:
-        memo.clear()
-    return memo
+    return bounded("cfg", memo)

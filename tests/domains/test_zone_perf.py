@@ -67,7 +67,7 @@ class TestIncrementalClosure:
         closed = base._close()
         # Tighten x - z (index 1 and 3): incremental vs full must agree.
         incremental = closed._tightened([(1, 3, 1)])
-        m = closed._copy_matrix()
+        m = [row[:] for row in closed._m]
         m[1][3] = 1
         full = ZoneState(closed._vars, m, False, closed=False)._close_full()
         assert _entries(incremental) == _entries(full)
