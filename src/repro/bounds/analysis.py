@@ -829,41 +829,15 @@ class BoundAnalysis:
 
     def _unrestricted_fallback(self) -> BoundResult:
         """The whole-CFG bound used when a trail's product graph is
-        irreducible — a pure function of (CFG, domain, summaries,
-        proc_bounds), so under the incremental plane every irreducible
-        child of every trail of the same procedure shares one run."""
-
-        def compute() -> BoundResult:
-            return BoundAnalysis(
-                self._cfg,
-                self._domain,
-                self._summaries,
-                trail_dfa=None,
-                proc_bounds=self._proc_bounds,
-                budget=self._budget,
-            ).compute()
-
-        if not (runtime.enabled() and self._budget is None):
-            return compute()
-        from repro.perf import incremental
-        from repro.perf.fingerprint import cfg_fingerprint
-
-        key = (
-            cfg_fingerprint(self._cfg),
-            self._domain.name,
-            self._summaries_fingerprint(),
-            incremental.proc_bounds_key(self._proc_bounds),
-        )
-        table = runtime.memo_table(incremental.UNRESTRICTED_TABLE)
-        hit = table.get(key)
-        if hit is not None:
-            runtime.STATS.hit(incremental.UNRESTRICTED_TABLE)
-            return hit
-        runtime.STATS.miss(incremental.UNRESTRICTED_TABLE)
-        result = compute()
-        if not result.degraded:
-            table[key] = result
-        return result
+        irreducible."""
+        return BoundAnalysis(
+            self._cfg,
+            self._domain,
+            self._summaries,
+            trail_dfa=None,
+            proc_bounds=self._proc_bounds,
+            budget=self._budget,
+        ).compute()
 
     def _publish_artifacts(self) -> None:
         """Index this analysis's per-loop artifacts under its trail's

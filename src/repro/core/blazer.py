@@ -209,8 +209,9 @@ class Blazer:
                     self.config.domain, self._summaries.fingerprint(), self.cfgs
                 )
             self.cache = AnalysisCache(disk=disk, disk_scope=scope)
-            self._shared_scope: Optional[tuple] = None
-            self._proc_bounds: Dict[str, ProcBound] = self._compute_proc_bounds()
+            self._proc_bounds: Dict[str, ProcBound] = compute_proc_bounds(
+                self.cfgs, self._domain, self._summaries
+            )
             self._taints: Dict[str, TaintResult] = {}
         # Per-phase wall-clock accumulators for the current analyze()
         # call.
@@ -256,71 +257,16 @@ class Blazer:
         finally:
             self._add_phase("bounds", time.perf_counter() - started)
 
-    def _shared_scope_key(self) -> tuple:
-        """The analysis scope shared-tier entries are namespaced by: the
-        domain, the summary registry, and every defined procedure body
-        (callee bounds reach each trail through ``proc_bounds``).  Two
-        drivers with equal scope keys produce interchangeable bound
-        results — the in-process analogue of the disk tier's
-        ``analysis_scope_fingerprint``."""
-        if self._shared_scope is None:
-            from repro.perf.fingerprint import module_fingerprint
-
-            self._shared_scope = (
-                self.config.domain,
-                self._summaries.fingerprint(),
-                module_fingerprint(self.cfgs),
-            )
-        return self._shared_scope
-
-    def _compute_proc_bounds(self) -> Dict[str, ProcBound]:
-        """Interprocedural bounds, shared across driver instances with
-        the same scope under the incremental plane (``bounds.proc``) —
-        diffcheck sweeps and refinement-heavy benchmarks construct many
-        drivers over the same program."""
-        if not (runtime.enabled() and self.config.budget is None):
-            return compute_proc_bounds(self.cfgs, self._domain, self._summaries)
-        from repro.perf import incremental
-
-        key = self._shared_scope_key()
-        table = runtime.memo_table(incremental.PROC_BOUNDS_TABLE)
-        hit = table.get(key)
-        if hit is not None:
-            runtime.STATS.hit(incremental.PROC_BOUNDS_TABLE)
-            return hit
-        runtime.STATS.miss(incremental.PROC_BOUNDS_TABLE)
-        bounds = compute_proc_bounds(self.cfgs, self._domain, self._summaries)
-        table[key] = bounds
-        return bounds
-
     def _bound_uncached(self, cfg: ControlFlowGraph, trail: Trail) -> BoundResult:
-        def compute() -> BoundResult:
-            analysis = BoundAnalysis(
-                cfg,
-                self._domain,
-                self._summaries,
-                trail_dfa=trail.dfa,
-                proc_bounds=self._proc_bounds,
-                budget=self.config.budget,
-                trail=trail,
-            )
-            return analysis.compute()
-
-        if not (runtime.enabled() and self.config.budget is None):
-            return compute()
-        # Shared cross-driver tier: keyed by scope + the trail's content
-        # fingerprint + the trail DFA's *exact* state structure (bound
-        # results embed raw DFA state numbers in their product-node
-        # invariants, so an isomorphism-class key would mislabel states).
-        from repro.perf import incremental
-
-        key = incremental.shared_bound_key(self._shared_scope_key(), trail)
-        result = incremental.lookup_shared_bound(key)
-        if result is not None:
-            return result
-        result = compute()
-        incremental.store_shared_bound(key, result)
-        return result
+        return BoundAnalysis(
+            cfg,
+            self._domain,
+            self._summaries,
+            trail_dfa=trail.dfa,
+            proc_bounds=self._proc_bounds,
+            budget=self.config.budget,
+            trail=trail,
+        ).compute()
 
     # -- graceful degradation ------------------------------------------------
 

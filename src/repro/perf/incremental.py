@@ -4,9 +4,7 @@ When REFINEPARTITION splits a parent trail, each child differs from the
 parent by exactly one perturbed constructor (the branch recorded in the
 child's :class:`~repro.trails.trail.RefinementDelta`).  Everything the
 bound analysis computed for the parent that the perturbation cannot
-reach — per-loop iteration bounds, seeded transition relations, whole
-unrestricted fallback bounds, even entire trail-keyed bound results when
-a sibling re-derives an equal language — is a reuse candidate.
+reach — its per-loop iteration bounds — is a reuse candidate.
 
 Soundness model (docs/PERFORMANCE.md): reuse is **content-keyed, never
 trusted**.  The delta only *directs* the probe — which parent
@@ -20,7 +18,7 @@ construction; the differential battery in
 refinement round, and the ``refine.delta`` fault site proves the
 battery would catch a violation.
 
-Three tiers live here:
+Two tiers live here:
 
 * the **parent loop-artifact index** (``refine.lineage``): per-trail
   iteration-bound artifacts published under the trail's *delta-lineage*
@@ -29,13 +27,7 @@ Three tiers live here:
   different split routes, and a reused fixpoint must never be served
   for a structurally different split without full content revalidation;
 * the **global iteration-bound memo** (``bounds.iterbound``): the same
-  artifacts keyed purely by content, for cross-driver reuse;
-* the **shared bound tier** (``bound.shared``): whole
-  :class:`~repro.bounds.analysis.BoundResult` objects shared across
-  driver instances with identical analysis scope, keyed by the trail's
-  content fingerprint *plus* the trail DFA's exact state structure
-  (results embed raw DFA state numbers in their product-node
-  invariants, so an isomorphism-class key would mislabel states).
+  artifacts keyed purely by content, for reuse across trails and drivers.
 
 Everything in this module is inert unless the perf layer is on
 (:func:`repro.perf.runtime.enabled`, ``REPRO_PERF``), and every caller
@@ -47,16 +39,13 @@ the reference the differential battery compares this plane against.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.perf import runtime
 
 # Memo-table names (see PerfStats for the matching counter categories).
 LINEAGE_TABLE = "refine.lineage"
 ITERBOUND_TABLE = "bounds.iterbound"
-SHARED_BOUND_TABLE = "bound.shared"
-UNRESTRICTED_TABLE = "bounds.unrestricted"
-PROC_BOUNDS_TABLE = "bounds.proc"
 
 # The fault site that corrupts a reused parent fixpoint (REPRO_FAULTS
 # spec ``refine.delta:corrupt``): fires on the serve path of
@@ -150,45 +139,3 @@ def publish_loop_artifacts(trail, artifacts: Dict[tuple, object]) -> None:
 def lineage_artifacts(lineage: str) -> Optional[Dict[tuple, object]]:
     """The published artifact map of one lineage (tests/introspection)."""
     return runtime.memo_table(LINEAGE_TABLE).get(lineage)
-
-
-# -- whole bound results shared across drivers ----------------------------------
-
-
-def shared_bound_key(scope: tuple, trail) -> tuple:
-    from repro.perf.fingerprint import dfa_structure_key
-
-    return scope + (trail.fingerprint(), dfa_structure_key(trail.dfa))
-
-
-def lookup_shared_bound(key: tuple):
-    result = runtime.memo_table(SHARED_BOUND_TABLE).get(key)
-    if result is not None:
-        runtime.STATS.hit(SHARED_BOUND_TABLE)
-        return result
-    runtime.STATS.miss(SHARED_BOUND_TABLE)
-    return None
-
-
-def store_shared_bound(key: tuple, result) -> None:
-    # Degraded ⊤ substitutes describe a budget, not the trail — never
-    # share them (mirrors the AnalysisCache disk-tier rule).
-    if getattr(result, "degraded", False):
-        return
-    runtime.memo_table(SHARED_BOUND_TABLE)[key] = result
-
-
-# -- interprocedural bound maps -------------------------------------------------
-
-
-def proc_bounds_key(proc_bounds) -> tuple:
-    """Canonical hashable key of an interprocedural bound map.
-
-    ``CostBound``/``Poly`` are content-hashable, so the map keys by its
-    full semantic content — two drivers whose callee analyses produced
-    different bounds can never alias.
-    """
-    return tuple(
-        (name, pb.bound, tuple(pb.param_symbols))
-        for name, pb in sorted(proc_bounds.items())
-    )

@@ -246,13 +246,23 @@ class WarmPool:
             pool = self._executor()
             next_chunk = 0
             live: Dict[object, Tuple[int, List[T]]] = {}
-            broken = False
-            try:
+
+            def submit_pending() -> bool:
+                """Fill the free worker slots; False once the executor
+                refuses work (a worker died since the last submit)."""
+                nonlocal next_chunk
                 while next_chunk < len(chunks) and len(live) < self.workers:
                     start, chunk = chunks[next_chunk]
-                    live[pool.submit(_run_chunk, fn, chunk)] = (start, chunk)
+                    try:
+                        live[pool.submit(_run_chunk, fn, chunk)] = (start, chunk)
+                    except BrokenExecutor:
+                        return False
                     next_chunk += 1
-                while live:
+                return True
+
+            try:
+                broken = not submit_pending()
+                while live and not broken:
                     done, _ = wait(live, return_when=FIRST_COMPLETED)
                     for future in done:
                         start, chunk = live.pop(future)
@@ -271,16 +281,8 @@ class WarmPool:
                             outcome = exc
                         fill(start, chunk, outcome)
                     settle_prefix()
-                    while (
-                        not broken
-                        and next_chunk < len(chunks)
-                        and len(live) < self.workers
-                    ):
-                        start, chunk = chunks[next_chunk]
-                        live[pool.submit(_run_chunk, fn, chunk)] = (start, chunk)
-                        next_chunk += 1
-                    if broken:
-                        break
+                    if not broken:
+                        broken = not submit_pending()
             except KeyboardInterrupt:
                 self._discard_executor()
                 raise

@@ -69,12 +69,10 @@ class PerfStats:
 
     The incremental plane (docs/PERFORMANCE.md) adds: ``refine.reuse``
     (parent loop artifacts revalidated and served to a split child),
-    ``bounds.iterbound`` (whole iteration-bound results),
-    ``bounds.unrestricted`` (whole-CFG fallback bounds),
-    ``bounds.proc`` (interprocedural bound maps), ``bound.shared``
-    (the cross-driver bound tier) and ``refine.split`` (interned DFA
-    split derivations), plus the one-sided event ``refine.dirty``
-    (loops skipped as touched by the split constructor).
+    ``bounds.iterbound`` (whole iteration-bound results) and
+    ``refine.split`` (interned DFA split derivations), plus the
+    one-sided event ``refine.dirty`` (loops skipped as touched by the
+    split constructor).
     """
 
     def __init__(self) -> None:

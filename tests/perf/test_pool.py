@@ -7,6 +7,8 @@ boundary under any start method.
 """
 
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -40,6 +42,25 @@ def _crash_on_five(x):
 
 def _worker_pid(_x):
     return os.getpid()
+
+
+class _DiesBeforeSecondSubmit:
+    """An executor whose one worker died between the first and second
+    submit: the first future fails, the second submit is refused."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits > 1:
+            raise BrokenProcessPool("worker died")
+        future = Future()
+        future.set_exception(BrokenProcessPool("worker died"))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 @pytest.fixture(autouse=True)
@@ -107,6 +128,15 @@ class TestMapChunked:
             assert out[:4] == [0, 1, 2, 3]
             # The pool transparently rebuilds for the next call.
             assert pool.map_chunked(_square, [2, 3]) == [4, 9]
+
+    def test_refused_submit_maps_to_worker_crashed(self):
+        with WarmPool(2) as pool:
+            if pool.workers < 2:
+                pytest.skip("needs two worker slots")
+            pool._pool = _DiesBeforeSecondSubmit()
+            out = pool.map_chunked(_square, list(range(6)), chunk_size=2)
+            assert all(isinstance(o, WorkerCrashed) for o in out)
+            assert pool._pool is None  # discarded, rebuilt on next use
 
 
 class TestSharedPool:
